@@ -27,13 +27,7 @@ import argparse
 
 import numpy as np
 
-from roadsense import (
-    build_haar_basis,
-    filter_step,
-    gravity_magnitude,
-    lipschitz_algorithm1,
-    make_filter,
-)
+from roadsense import dwt, filter_step, gravity_magnitude, lipschitz_algorithm1, make_filter
 
 GRAVITY = 9.8
 WINDOW = 32
@@ -49,7 +43,7 @@ ARTIFACT_AMPS_G = np.arange(4.0, 30.1, 2.0)
 ARTIFACT_WIDTHS = (4, 6, 8, 10)
 
 
-def window_beta(pulse_ms2: float, width: int, offset: int, alpha: float, basis) -> float | None:
+def window_beta(pulse_ms2: float, width: int, offset: int, alpha: float) -> float | None:
     """Exponent of one settled analysis window containing a vertical pulse."""
     raw = np.full(WARMUP + WINDOW, GRAVITY)
     k = np.arange(1, width + 1)
@@ -59,11 +53,11 @@ def window_beta(pulse_ms2: float, width: int, offset: int, alpha: float, basis) 
     for v in raw:
         state, g = filter_step(state, 0.0, 0.0, float(v))
         values.append(gravity_magnitude(g))
-    est = lipschitz_algorithm1(np.asarray(values[WARMUP:]), basis)
+    est = lipschitz_algorithm1(dwt(np.asarray(values[WARMUP:])))
     return est.beta_hat if est.valid else None
 
 
-def collect(amps_ms2, widths, gains, alphas, basis) -> np.ndarray:
+def collect(amps_ms2, widths, gains, alphas) -> np.ndarray:
     betas = []
     for amp in amps_ms2:
         for width in widths:
@@ -72,21 +66,20 @@ def collect(amps_ms2, widths, gains, alphas, basis) -> np.ndarray:
                     for offset in OFFSETS:
                         if offset + width > WINDOW - 2:
                             continue
-                        b = window_beta(amp * gain, width, offset, alpha, basis)
+                        b = window_beta(amp * gain, width, offset, alpha)
                         if b is not None:
                             betas.append(b)
     return np.asarray(betas)
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--margin", type=float, default=0.5,
                         help="safety margin above the worst-case bump exponent")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
-    basis = build_haar_basis(WINDOW)
-    bumps = collect(BUMP_HEIGHTS_G * GRAVITY, BUMP_WIDTHS, DEVICE_GAINS, FILTER_ALPHAS, basis)
-    artifacts = collect(ARTIFACT_AMPS_G * GRAVITY, ARTIFACT_WIDTHS, (1.0,), FILTER_ALPHAS, basis)
+    bumps = collect(BUMP_HEIGHTS_G * GRAVITY, BUMP_WIDTHS, DEVICE_GAINS, FILTER_ALPHAS)
+    artifacts = collect(ARTIFACT_AMPS_G * GRAVITY, ARTIFACT_WIDTHS, (1.0,), FILTER_ALPHAS)
 
     print(f"bump windows:     {bumps.size:4d}  beta in [{bumps.min():+.3f}, {bumps.max():+.3f}]")
     print(f"artifact windows: {artifacts.size:4d}  beta in [{artifacts.min():+.3f}, {artifacts.max():+.3f}]")
@@ -105,7 +98,7 @@ def main() -> int:
     print("pulse shapes outside the simulated grid; recall stays 1.0 either way.")
     weakest_rejected = ARTIFACT_AMPS_G[-1]
     for amp in ARTIFACT_AMPS_G:
-        b = window_beta(amp * GRAVITY, 6, 12, 0.992, basis)
+        b = window_beta(amp * GRAVITY, 6, 12, 0.992)
         if b is not None and b >= 0.8:
             weakest_rejected = amp
             break

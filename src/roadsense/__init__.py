@@ -1,116 +1,35 @@
 """Road roughness and bump detection from phone accelerometer and GPS logs."""
 
-from .aggregate import HazardCluster, cluster_events, prune_isolated, write_map
-from .bump import (
-    LipschitzEstimate,
-    detect_bump,
-    lipschitz_algorithm1,
-    lipschitz_lsq,
-    merge_events,
-    z_threshold_baseline,
-)
-from .config import PipelineConfig, SCHEMA_VERSION, load_config
-from .events import RoadEvent, TripReport, TripStats
-from .geo import GpsFix, haversine_m, interpolate_position, speed_at
-from .gravity_filter import (
-    FilterState,
-    filter_step,
-    gravity_magnitude,
-    make_filter,
-    reset_seed,
-    set_alpha,
-)
-from .pipeline import analyze_trip_file, analyze_trip_stream, run_pipeline
-from .roughness import (
-    NoiseEstimate,
-    RoughnessState,
-    classify_segment,
-    estimate_sigma,
-    update_alpha,
-)
-from .signal_core import (
-    GRAVITY_MS2,
-    AccelSample,
-    Segment,
-    resultant_magnitude,
-    segment_stream,
-)
-from .synth import (
-    BumpSpec,
-    RoughPatch,
-    Scenario,
-    SpeedPoint,
-    generate_trip,
-    load_scenario,
-)
-from .trip_io import TripReader, parse_report, parse_trip_csv, write_report
-from .wavelet import (
-    HaarBasis,
-    WaveletCoeffs,
-    build_haar_basis,
-    detail_scale,
-    dwt,
-    find_peaks,
-    idwt,
-)
+from .aggregate import cluster_events, prune_isolated, write_map
+from .bump import lipschitz_algorithm1
+from .config import PipelineConfig, load_config
+from .gravity_filter import filter_step, gravity_magnitude, make_filter
+from .pipeline import analyze_trip_file
+from .roughness import estimate_sigma, update_alpha
+from .signal_core import SegmentBuffer
+from .synth import BumpSpec, RoughPatch, Scenario, SpeedPoint, generate_trip
+from .wavelet import dwt
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccelSample",
-    "FilterState",
-    "GpsFix",
-    "GRAVITY_MS2",
-    "HaarBasis",
-    "HazardCluster",
-    "LipschitzEstimate",
-    "NoiseEstimate",
-    "PipelineConfig",
-    "RoadEvent",
-    "RoughnessState",
     "BumpSpec",
+    "PipelineConfig",
     "RoughPatch",
     "Scenario",
+    "SegmentBuffer",
     "SpeedPoint",
-    "SCHEMA_VERSION",
-    "Segment",
-    "TripReader",
-    "TripReport",
-    "TripStats",
-    "WaveletCoeffs",
     "analyze_trip_file",
-    "analyze_trip_stream",
-    "build_haar_basis",
-    "classify_segment",
     "cluster_events",
-    "detail_scale",
-    "detect_bump",
     "dwt",
     "estimate_sigma",
     "filter_step",
-    "gravity_magnitude",
-    "find_peaks",
     "generate_trip",
-    "haversine_m",
-    "idwt",
-    "interpolate_position",
+    "gravity_magnitude",
     "lipschitz_algorithm1",
-    "lipschitz_lsq",
     "load_config",
-    "load_scenario",
     "make_filter",
-    "merge_events",
-    "parse_report",
-    "parse_trip_csv",
     "prune_isolated",
-    "reset_seed",
-    "resultant_magnitude",
-    "run_pipeline",
-    "segment_stream",
-    "set_alpha",
-    "speed_at",
     "update_alpha",
     "write_map",
-    "write_report",
-    "z_threshold_baseline",
 ]

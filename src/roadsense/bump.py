@@ -20,11 +20,7 @@ import numpy as np
 from .config import BumpConfig
 from .errors import DegenerateFitError, DomainError
 from .events import KIND_BUMP, RoadEvent
-from .wavelet import HaarBasis, WaveletCoeffs, dwt, find_peaks
-
-# Inverse of the 2x2 normal matrix [[4, 7], [7, 25]] baked into the exponent
-# estimate; only its second row is used.
-_NORMAL_INV = np.linalg.inv(np.array([[4.0, 7.0], [7.0, 25.0]]))
+from .wavelet import WaveletCoeffs, find_peaks
 
 
 @dataclass(frozen=True)
@@ -46,20 +42,13 @@ class LipschitzEstimate:
 _INVALID = LipschitzEstimate(beta_hat=math.nan, p1=math.nan, p2=math.nan, loc=-1, valid=False)
 
 
-def lipschitz_algorithm1(
-    values: np.ndarray,
-    basis: HaarBasis,
-    coeffs: WaveletCoeffs | None = None,
-    plateau: str = "strict",
-) -> LipschitzEstimate:
+def lipschitz_algorithm1(coeffs: WaveletCoeffs, plateau: str = "strict") -> LipschitzEstimate:
     """Estimate the singularity exponent of one analysis window.
 
     Peak positions are compared on a normalized (0, 1] axis: the 1-based
     peak index divided by the coefficient count at that scale. Ties for the
     nearest scale-2 peak resolve to the earlier index.
     """
-    if coeffs is None:
-        coeffs = dwt(values, basis)
     d1, d2 = coeffs.details[0], coeffs.details[1]
     pks1, locs1 = find_peaks(np.abs(d1), plateau)
     pks2, locs2 = find_peaks(np.abs(d2), plateau)
@@ -72,21 +61,16 @@ def lipschitz_algorithm1(
     i2 = int(np.argmin(np.abs(normloc2 - normloc1)))
     p2 = float(pks2[i2])
     s = math.log2(p1) + math.log2(p2)
-    beta = _NORMAL_INV[1, 0] * s + _NORMAL_INV[1, 1] * 7.0 * s
+    # Row 2 of inv([[4, 7], [7, 25]]) applied to [s, 7s], i.e. (7/17)*s. Kept
+    # as two terms: folding them into one constant changes the last bits.
+    beta = (-7.0 / 51.0) * s + (4.0 / 51.0) * 7.0 * s
     # Finest-scale coefficient k covers samples 2k and 2k+1.
     return LipschitzEstimate(beta_hat=beta, p1=p1, p2=p2, loc=2 * int(locs1[i1]), valid=True)
 
 
-def lipschitz_diagnostics(
-    values: np.ndarray,
-    basis: HaarBasis,
-    coeffs: WaveletCoeffs | None = None,
-    plateau: str = "strict",
-) -> dict:
+def lipschitz_diagnostics(coeffs: WaveletCoeffs, plateau: str = "strict") -> dict:
     """Per-window peak sets (scales 1..3) and the resulting estimate."""
-    if coeffs is None:
-        coeffs = dwt(values, basis)
-    est = lipschitz_algorithm1(values, basis, coeffs, plateau)
+    est = lipschitz_algorithm1(coeffs, plateau)
     out: dict = {"estimate": est}
     for j in (1, 2, 3):
         pks, locs = find_peaks(np.abs(coeffs.details[j - 1]), plateau)
@@ -161,12 +145,3 @@ def merge_events(candidates: list[RoadEvent], window_ms: int) -> list[RoadEvent]
             merged.append(replace(ev))
     return merged
 
-
-def z_threshold_baseline(z_values: np.ndarray, threshold: float) -> np.ndarray:
-    """Indices of raw vertical-axis samples exceeding a fixed threshold.
-
-    Comparison baseline only: it keys on absolute magnitude, so the same
-    bump recorded by a less sensitive device can slip under the threshold.
-    """
-    z = np.asarray(z_values, dtype=float)
-    return np.flatnonzero(z > threshold)

@@ -88,14 +88,16 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_aggregate(args: argparse.Namespace) -> int:
-    config = load_config(_config_path(args.config))
-    radius = args.radius if args.radius is not None else config.aggregate.cluster_radius_m
-    min_trips = args.min_trips if args.min_trips is not None else config.aggregate.min_trips
+    flags = {"cluster_radius_m": args.radius, "min_trips": args.min_trips}
+    config = load_config(
+        _config_path(args.config),
+        {"aggregate": {key: value for key, value in flags.items() if value is not None}},
+    )
     reports = []
     for path in args.reports:
         reports.append(parse_report(Path(path).read_text("utf-8")))
-    clusters = cluster_events(reports, radius, config.gps.earth_radius_m)
-    kept, dropped = prune_isolated(clusters, min_trips)
+    clusters = cluster_events(reports, config.aggregate.cluster_radius_m, config.gps.earth_radius_m)
+    kept, dropped = prune_isolated(clusters, config.aggregate.min_trips)
     _write(args.out, write_map(kept, dropped))
     return 0
 

@@ -21,7 +21,6 @@ SCHEMA_VERSION = 1
 class SignalConfig:
     sample_rate_hz: float
     segment_len: int
-    segment_overlap: float
     reseed_gap_periods: float
 
     @property
@@ -51,7 +50,6 @@ class BumpConfig:
     allow_unknown_speed: bool
     merge_window_ms: int
     peak_plateau_policy: str
-    z_threshold_mps2: float
 
 
 @dataclass(frozen=True)
@@ -107,7 +105,6 @@ def _validate(cfg: PipelineConfig) -> None:
     _require(sig.sample_rate_hz > 0, "sample_rate_hz must be positive")
     n = sig.segment_len
     _require(n >= 8 and (n & (n - 1)) == 0, "segment_len must be a power of two >= 8")
-    _require(0.0 <= sig.segment_overlap < 1.0, "segment_overlap must be in [0, 1)")
     _require(sig.reseed_gap_periods > 0, "reseed_gap_periods must be positive")
     _require(0.0 < cfg.gravity.alpha < 1.0, "gravity.alpha must be in (0, 1)")
     for a in rough.alpha_schedule:
@@ -149,7 +146,6 @@ def _build(raw: dict) -> PipelineConfig:
             signal=SignalConfig(
                 sample_rate_hz=float(raw["signal"]["sample_rate_hz"]),
                 segment_len=int(raw["signal"]["segment_len"]),
-                segment_overlap=float(raw["signal"]["segment_overlap"]),
                 reseed_gap_periods=float(raw["signal"]["reseed_gap_periods"]),
             ),
             gravity=GravityConfig(alpha=float(raw["gravity"]["alpha"])),
@@ -167,7 +163,6 @@ def _build(raw: dict) -> PipelineConfig:
                 allow_unknown_speed=bool(raw["bump"]["allow_unknown_speed"]),
                 merge_window_ms=int(raw["bump"]["merge_window_ms"]),
                 peak_plateau_policy=str(raw["bump"]["peak_plateau_policy"]),
-                z_threshold_mps2=float(raw["bump"]["z_threshold_mps2"]),
             ),
             gps=GpsConfig(
                 max_gap_ms=int(raw["gps"]["max_gap_ms"]),
@@ -184,8 +179,12 @@ def _build(raw: dict) -> PipelineConfig:
     return cfg
 
 
-def load_config(path: str | Path | None = None) -> PipelineConfig:
-    """Build a validated config, overlaying ``path`` on the packaged defaults."""
+def load_config(path: str | Path | None = None, overrides: dict | None = None) -> PipelineConfig:
+    """Build a validated config, overlaying ``path`` on the packaged defaults.
+
+    ``overrides`` (e.g. command-line flags) is a nested mapping of the same
+    shape, laid over the file and validated with it.
+    """
     raw = _read_defaults()
     if path is not None:
         try:
@@ -201,4 +200,6 @@ def load_config(path: str | Path | None = None) -> PipelineConfig:
         if not isinstance(override, dict):
             raise ConfigError(f"config file {path} must contain a mapping")
         raw = _deep_merge(raw, override)
+    if overrides:
+        raw = _deep_merge(raw, overrides)
     return _build(raw)

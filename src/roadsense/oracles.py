@@ -1,7 +1,7 @@
 """Independent reference implementations used to cross-check the estimators.
 
 Everything here is deliberately plain Python: explicit inner products
-instead of the basis matrix, hand-rolled peak scans, a 2x2 inverse by
+instead of the pyramid recursion, hand-rolled peak scans, a 2x2 inverse by
 adjugate. These routes share no code with the production implementations
 they verify, so agreement between the two is meaningful.
 """

@@ -12,7 +12,6 @@ materialized.
 """
 from __future__ import annotations
 
-import heapq
 from typing import Iterable
 
 from .bump import (
@@ -42,7 +41,7 @@ from .roughness import (
 )
 from .signal_core import AccelSample, SegmentBuffer
 from .trip_io import TripReader
-from .wavelet import build_haar_basis, dwt
+from .wavelet import dwt
 
 
 def _round_location(ev: RoadEvent) -> None:
@@ -65,9 +64,8 @@ def analyze_trip_stream(
     parse stats, malformed-row counts carry into the report.
     """
     sig, rough_cfg, bump_cfg = config.signal, config.roughness, config.bump
-    basis = build_haar_basis(sig.segment_len)
     fstate = make_filter(config.gravity.alpha)
-    segbuf = SegmentBuffer(sig.segment_len, sig.segment_overlap)
+    segbuf = SegmentBuffer(sig.segment_len)
     rstate = RoughnessState(
         forgetting=rough_cfg.forgetting,
         history_len=rough_cfg.history_len,
@@ -92,7 +90,7 @@ def analyze_trip_stream(
             continue
 
         try:
-            coeffs = dwt(seg.values, basis)
+            coeffs = dwt(seg.values)
             rstate, level = classify_segment(
                 rstate,
                 coeffs,
@@ -103,18 +101,14 @@ def analyze_trip_stream(
             if rstate.alpha != fstate.alpha:
                 fstate = set_alpha(fstate, rstate.alpha)
             tracker.observe(seg, level)
-            est = lipschitz_algorithm1(
-                seg.values, basis, coeffs, bump_cfg.peak_plateau_policy
-            )
+            est = lipschitz_algorithm1(coeffs, bump_cfg.peak_plateau_policy)
         except RoadSenseError as exc:
             raise type(exc)(f"segment {seg.index}: {exc}") from exc
         if est.valid:
             t_est = seg.t_start_ms + round(est.loc * sig.period_ms)
             candidates.append((est, t_est))
         if diagnostics is not None:
-            diagnostics.append(
-                _segment_diag(seg, coeffs, basis, rstate, level, est, bump_cfg)
-            )
+            diagnostics.append(_segment_diag(seg, coeffs, rstate, level, est, bump_cfg))
 
     events = _finish(tracker, candidates, fixes, config)
     for ev in events:
@@ -170,8 +164,8 @@ def _finish(
     return sorted(rough_events + merged, key=lambda e: (e.t_start_ms, e.kind, e.t_end_ms))
 
 
-def _segment_diag(seg, coeffs, basis, rstate, level, est, bump_cfg) -> dict:
-    diag = lipschitz_diagnostics(seg.values, basis, coeffs, bump_cfg.peak_plateau_policy)
+def _segment_diag(seg, coeffs, rstate, level, est, bump_cfg) -> dict:
+    diag = lipschitz_diagnostics(coeffs, bump_cfg.peak_plateau_policy)
     return {
         "segment": seg.index,
         "t_start_ms": seg.t_start_ms,
@@ -189,23 +183,6 @@ def _segment_diag(seg, coeffs, basis, rstate, level, est, bump_cfg) -> dict:
         "peaks2": diag["peaks2"],
         "peaks3": diag["peaks3"],
     }
-
-
-def run_pipeline(
-    samples: Iterable[AccelSample],
-    fixes: Iterable[GpsFix],
-    config: PipelineConfig,
-    trip_id: str = "",
-    device_id: str = "",
-    diagnostics: list | None = None,
-) -> TripReport:
-    """Analyze already-parsed sample and fix sequences (see analyze_trip_stream)."""
-    rows = heapq.merge(
-        (("A", s) for s in samples),
-        (("G", f) for f in fixes),
-        key=lambda kv: (kv[1].t_ms, kv[0]),
-    )
-    return analyze_trip_stream(rows, config, trip_id, device_id, diagnostics)
 
 
 def analyze_trip_file(

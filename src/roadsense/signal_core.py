@@ -1,13 +1,12 @@
-"""Accelerometer sample types, resultant magnitude, and fixed-width windowing.
+"""Accelerometer sample type and fixed-width windowing.
 
-The resultant magnitude collapses the three axes into one orientation-free
-series; windowing then cuts that series into fixed-length analysis segments.
+Windowing cuts the per-sample magnitude series into fixed-length analysis
+segments.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -40,37 +39,24 @@ class Segment:
     values: np.ndarray
 
 
-def resultant_magnitude(ax: float, ay: float, az: float) -> float:
-    """Length of the acceleration vector; invariant under device rotation."""
-    if not (math.isfinite(ax) and math.isfinite(ay) and math.isfinite(az)):
-        raise InvalidSampleError("non-finite input to resultant_magnitude")
-    return math.sqrt(ax * ax + ay * ay + az * az)
-
-
 class SegmentBuffer:
     """Accumulates (t_ms, value) pairs and emits windows of fixed width.
 
-    With ``overlap`` zero the windows tile the stream; a trailing remainder
-    shorter than one window is never emitted and shows up in ``dropped``.
+    The windows tile the stream; a trailing remainder shorter than one window
+    is never emitted and shows up in ``dropped``.
     """
 
-    def __init__(self, window: int = 32, overlap: float = 0.0) -> None:
+    def __init__(self, window: int = 32) -> None:
         if window < 2:
             raise ConfigError("window must be at least 2 samples")
-        if not 0.0 <= overlap < 1.0:
-            raise ConfigError("overlap must be in [0, 1)")
         self.window = window
-        self.step = max(1, round(window * (1.0 - overlap)))
         self._ts: list[int] = []
         self._vals: list[float] = []
-        self._pushed = 0
-        self._covered = 0  # absolute index one past the last emitted window
         self.count = 0
 
     def push(self, t_ms: int, value: float) -> Segment | None:
         self._ts.append(t_ms)
         self._vals.append(value)
-        self._pushed += 1
         if len(self._vals) < self.window:
             return None
         seg = Segment(
@@ -80,23 +66,12 @@ class SegmentBuffer:
             values=np.array(self._vals, dtype=float),
         )
         self.count += 1
-        self._covered = self._pushed
-        del self._ts[: self.step]
-        del self._vals[: self.step]
+        self._ts.clear()
+        self._vals.clear()
         return seg
 
     @property
     def dropped(self) -> int:
         """Samples seen so far that are not covered by any emitted window."""
-        return self._pushed - self._covered
+        return len(self._vals)
 
-
-def segment_stream(
-    pairs: Iterable[tuple[int, float]], window: int = 32, overlap: float = 0.0
-) -> Iterator[Segment]:
-    """Yield fixed-width segments over a (t_ms, magnitude) stream."""
-    buf = SegmentBuffer(window, overlap)
-    for t_ms, value in pairs:
-        seg = buf.push(t_ms, value)
-        if seg is not None:
-            yield seg

@@ -104,19 +104,6 @@ class TripReader:
         return None
 
 
-def parse_trip_csv(stream: Iterable[str]) -> tuple[list[AccelSample], list[GpsFix], ParseStats]:
-    """Read a whole trip file into sample and fix lists (see TripReader)."""
-    reader = TripReader(stream)
-    samples: list[AccelSample] = []
-    fixes: list[GpsFix] = []
-    for kind, value in reader:
-        if kind == "A":
-            samples.append(value)
-        else:
-            fixes.append(value)
-    return samples, fixes, reader.stats
-
-
 # -- Canonical report serialization -------------------------------------------
 
 
@@ -150,9 +137,18 @@ def write_report(report: TripReport) -> str:
 
 
 def parse_report(text: str) -> TripReport:
-    """Rebuild a TripReport from its canonical JSON text."""
+    """Rebuild a TripReport from its canonical JSON text.
+
+    A report whose ``schema_version`` is missing or not this package's is
+    rejected, not read as if it were.
+    """
     try:
         payload = json.loads(text)
+        if payload["schema_version"] != SCHEMA_VERSION:
+            raise TripFormatError(
+                f"unsupported report schema_version {payload['schema_version']!r}; "
+                f"expected {SCHEMA_VERSION}"
+            )
         events = [
             RoadEvent(
                 kind=e["kind"],

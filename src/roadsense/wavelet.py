@@ -1,18 +1,18 @@
-"""Orthonormal Haar analysis of fixed power-of-two windows.
+"""Orthonormal Haar analysis of power-of-two windows by the pyramid transform.
 
-The basis is kept as an explicit L x L orthonormal matrix B whose columns
-are the sampled Haar functions; coefficients are B^T x. Column 0 is the
-constant (approximation) vector; columns [L/2^j, L/2^(j-1)) hold the
-scale-j details left to right, so scale 1 is the finest and fills the upper
-half of the vector. Each scale-j basis vector is +2^(-j/2) on the first half
-of its 2^j-sample support and -2^(-j/2) on the second half.
+Each level splits the current smooth sequence into pairs (even, odd) and
+forms d = (even - odd) / sqrt(2) and s = (even + odd) / sqrt(2); the details
+are kept and the smooths go on to the next level until one value is left.
+For a window of L = 2^J samples, ``details[0]`` is the finest scale (j = 1,
+L/2 values) and ``details[J-1]`` the coarsest (one value); ``approx`` is the
+window sum over sqrt(L). Detail k at scale j is the inner product of the
+window with +2^(-j/2) over the first half of samples [k*2^j, (k+1)*2^j) and
+-2^(-j/2) over the second half, so the coefficients are orthonormal.
 
-The forward transform evaluates those inner products with the pyramid
-recursion instead of a matrix product. The two agree to rounding error, but
-the pyramid forms each detail as one subtraction of two block averages, so a
-constant window produces detail coefficients that are exactly zero rather
-than summation-order residue. Several downstream contracts rely on that
-(noise estimates of still segments, no phantom singularities).
+Each detail is one subtraction of two block sums, so a constant window gives
+detail coefficients that are exactly zero rather than summation-order
+residue. Several downstream contracts rely on that (noise estimates of still
+segments, no phantom singularities).
 """
 from __future__ import annotations
 
@@ -23,13 +23,6 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 
 _INV_SQRT2 = 2.0 ** -0.5
-
-
-@dataclass(frozen=True)
-class HaarBasis:
-    size: int
-    levels: int
-    matrix: np.ndarray  # (size, size), orthonormal columns
 
 
 @dataclass
@@ -48,66 +41,20 @@ class WaveletCoeffs:
         return len(self.details)
 
 
-def build_haar_basis(size: int) -> HaarBasis:
-    """Construct the orthonormal Haar basis for a power-of-two window."""
-    if size < 2 or size & (size - 1):
-        raise ConfigError(f"basis size must be a power of two >= 2, got {size}")
-    levels = size.bit_length() - 1
-    mat = np.zeros((size, size))
-    mat[:, 0] = 1.0 / np.sqrt(size)
-    for j in range(1, levels + 1):
-        support = 1 << j
-        half = support >> 1
-        amp = 2.0 ** (-j / 2.0)
-        for k in range(size >> j):
-            col = (size >> j) + k
-            start = k * support
-            mat[start : start + half, col] = amp
-            mat[start + half : start + support, col] = -amp
-    return HaarBasis(size=size, levels=levels, matrix=mat)
-
-
-def dwt(values: np.ndarray, basis: HaarBasis) -> WaveletCoeffs:
-    """Analyze one window; input length must match the basis size.
-
-    Computed with the pyramid recursion rather than the basis matrix: each
-    detail is then a single subtraction of two block averages, so a constant
-    window yields exact floating-point zeros at every scale instead of
-    summation-order residue.
-    """
+def dwt(values: np.ndarray) -> WaveletCoeffs:
+    """Analyze one window whose length is a power of two >= 2."""
     x = np.asarray(values, dtype=float)
-    if x.shape != (basis.size,):
-        raise ShapeError(f"expected {basis.size} values, got shape {x.shape}")
+    size = x.shape[0] if x.ndim == 1 else 0
+    if size < 2 or size & (size - 1):
+        raise ShapeError(f"expected a 1-D power-of-two length >= 2, got shape {x.shape}")
     details = []
     smooth = x
-    for _ in range(basis.levels):
+    for _ in range(size.bit_length() - 1):
         even = smooth[0::2]
         odd = smooth[1::2]
         details.append((even - odd) * _INV_SQRT2)
         smooth = (even + odd) * _INV_SQRT2
     return WaveletCoeffs(approx=float(smooth[0]), details=tuple(details))
-
-
-def coeff_vector(coeffs: WaveletCoeffs) -> np.ndarray:
-    """Repack a WaveletCoeffs into the flat layout used by the basis matrix."""
-    parts = [np.array([coeffs.approx])]
-    parts.extend(coeffs.details[::-1])
-    return np.concatenate(parts)
-
-
-def idwt(coeffs: WaveletCoeffs, basis: HaarBasis) -> np.ndarray:
-    """Reconstruct the window from its coefficients."""
-    vec = coeff_vector(coeffs)
-    if vec.shape != (basis.size,):
-        raise ShapeError(f"coefficients do not match basis size {basis.size}")
-    return basis.matrix @ vec
-
-
-def detail_scale(coeffs: WaveletCoeffs, j: int) -> np.ndarray:
-    """Detail coefficients at scale j (1 = finest); length is L / 2^j."""
-    if not 1 <= j <= coeffs.levels:
-        raise IndexError(f"scale {j} outside 1..{coeffs.levels}")
-    return coeffs.details[j - 1]
 
 
 def find_peaks(series: np.ndarray, plateau: str = "strict") -> tuple[np.ndarray, np.ndarray]:

@@ -13,14 +13,15 @@ from roadsense.bump import (
     lipschitz_diagnostics,
     lipschitz_lsq,
     merge_events,
-    z_threshold_baseline,
 )
 from roadsense.config import BumpConfig
 from roadsense.errors import DegenerateFitError, DomainError
 from roadsense.events import RoadEvent
 from roadsense.gravity_filter import filter_step, gravity_magnitude, make_filter
 from roadsense.oracles import oracle_algorithm1
-from roadsense.wavelet import WaveletCoeffs, build_haar_basis, dwt, idwt
+from roadsense.wavelet import WaveletCoeffs, dwt
+
+from conftest import z_threshold_baseline
 
 CFG = BumpConfig(
     beta_max=0.8,
@@ -28,13 +29,7 @@ CFG = BumpConfig(
     allow_unknown_speed=True,
     merge_window_ms=1000,
     peak_plateau_policy="strict",
-    z_threshold_mps2=16.0,
 )
-
-
-@pytest.fixture(scope="module")
-def basis():
-    return build_haar_basis(32)
 
 
 def _bump_segment(height_g: float = 1.5, offset: int = 12, width: int = 6) -> np.ndarray:
@@ -78,22 +73,22 @@ def test_lsq_rejects_single_scale():
         lipschitz_lsq([(2, 1.0), (2, 2.0)])
 
 
-def test_constant_segment_invalid(basis):
-    est = lipschitz_algorithm1(np.full(32, 9.8), basis)
+def test_constant_segment_invalid():
+    est = lipschitz_algorithm1(dwt(np.full(32, 9.8)))
     assert not est.valid
     assert est.loc == -1
 
 
-def test_monotone_decay_segment_invalid(basis):
+def test_monotone_decay_segment_invalid():
     # The filter's exponential relaxation after a jolt has no interior peaks.
     x = 9.8 + 0.4 * 0.992 ** np.arange(32)
-    assert not lipschitz_algorithm1(x, basis).valid
+    assert not lipschitz_algorithm1(dwt(x)).valid
 
 
-def test_impulse_matches_oracle(basis):
+def test_impulse_matches_oracle():
     x = np.full(32, 9.8)
     x[16] += 3.0
-    est = lipschitz_algorithm1(x, basis)
+    est = lipschitz_algorithm1(dwt(x))
     orc = oracle_algorithm1(x)
     assert est.valid and orc["valid"]
     assert est.beta_hat == pytest.approx(orc["beta_hat"], abs=1e-12)
@@ -102,12 +97,12 @@ def test_impulse_matches_oracle(basis):
     assert est.loc == 2 * (orc["location"] - 1)
 
 
-def test_random_segments_match_oracle(basis):
+def test_random_segments_match_oracle():
     rng = np.random.default_rng(1)
     checked = 0
     for _ in range(200):
         x = rng.normal(9.8, rng.uniform(0.01, 2.0), 32)
-        est = lipschitz_algorithm1(x, basis)
+        est = lipschitz_algorithm1(dwt(x))
         orc = oracle_algorithm1(x)
         assert est.valid == orc["valid"]
         if est.valid:
@@ -118,23 +113,23 @@ def test_random_segments_match_oracle(basis):
     assert checked > 150
 
 
-def test_exponent_identity(basis):
+def test_exponent_identity():
     # The two-term matrix row collapses to (7/17) * log2(P1 * P2).
     rng = np.random.default_rng(2)
     for _ in range(100):
         x = rng.normal(9.8, 0.5, 32)
-        est = lipschitz_algorithm1(x, basis)
+        est = lipschitz_algorithm1(dwt(x))
         if est.valid:
             assert est.beta_hat == pytest.approx(
                 (7.0 / 17.0) * math.log2(est.p1 * est.p2), abs=1e-12
             )
 
 
-def test_gain_shifts_exponent_algebraically(basis):
+def test_gain_shifts_exponent_algebraically():
     x = _bump_segment()
-    base = lipschitz_algorithm1(x, basis)
+    base = lipschitz_algorithm1(dwt(x))
     for c in (0.5, 0.75, 1.5, 2.0):
-        scaled = lipschitz_algorithm1(9.8 + c * (x - 9.8), basis)
+        scaled = lipschitz_algorithm1(dwt(9.8 + c * (x - 9.8)))
         assert scaled.loc == base.loc
         assert scaled.p1 == pytest.approx(c * base.p1, rel=1e-9)
         expected = base.beta_hat + (14.0 / 17.0) * math.log2(c)
@@ -156,7 +151,7 @@ def _filtered_window(height_g: float, offset: int, gain: float) -> np.ndarray:
     return np.asarray(out[64:])
 
 
-def test_detection_survives_gain_attenuation(basis):
+def test_detection_survives_gain_attenuation():
     # A weaker device gain shifts the exponent by (14/17)*log2(gain), far
     # from the ceiling for real bump shapes, so the verdict holds; the fixed
     # z-threshold baseline loses these same pulses (see the scaled case in
@@ -164,28 +159,28 @@ def test_detection_survives_gain_attenuation(basis):
     for height in (1.2, 1.5, 2.0):
         for offset in (8, 12, 16, 20):
             for gain in (0.6, 1.0):
-                est = lipschitz_algorithm1(_filtered_window(height, offset, gain), basis)
+                est = lipschitz_algorithm1(dwt(_filtered_window(height, offset, gain)))
                 assert est.valid
                 assert est.beta_hat < CFG.beta_max
 
 
-def test_scale2_tie_resolves_to_earlier_peak(basis):
+def test_scale2_tie_resolves_to_earlier_peak():
     d2 = np.array([0.1, 0.2, 5.0, 0.2, 7.0, 0.2, 0.1, 0.1])
     d1 = np.zeros(16)
     d1[7] = 2.0
     coeffs = WaveletCoeffs(
         approx=50.0, details=(d1, d2, np.zeros(4), np.zeros(2), np.zeros(1))
     )
-    est = lipschitz_algorithm1(idwt(coeffs, basis), basis)
+    est = lipschitz_algorithm1(coeffs)
     # Both scale-2 peaks sit exactly 0.125 from the finest peak; the earlier
     # one (value 5, not 7) must win.
     assert est.p2 == pytest.approx(5.0, abs=1e-9)
     assert est.beta_hat == pytest.approx((7.0 / 17.0) * math.log2(10.0), abs=1e-9)
 
 
-def test_diagnostics_exposes_unused_scale3(basis):
+def test_diagnostics_exposes_unused_scale3():
     x = _bump_segment()
-    diag = lipschitz_diagnostics(x, basis)
+    diag = lipschitz_diagnostics(dwt(x))
     orc = oracle_algorithm1(x)
     assert [loc for loc, _ in diag["peaks3"]] == [loc - 1 for loc in orc["locs3"]]
     assert diag["estimate"].valid

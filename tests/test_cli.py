@@ -124,6 +124,20 @@ def test_aggregate_honors_min_trips(tmp_path):
     assert len(payload["clusters"]) == 2 and payload["discarded"] == []
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--radius", "-1"], ["--radius", "0"], ["--radius", "nan"], ["--min-trips", "0"]],
+    ids=["radius-negative", "radius-zero", "radius-nan", "min-trips-zero"],
+)
+def test_aggregate_rejects_out_of_range_flags(tmp_path, capsys, flags):
+    # Flags obey the same rules as the config keys they override.
+    paths = [_report_file(tmp_path, "t1", 48.0), _report_file(tmp_path, "t2", 48.0)]
+    out = tmp_path / "map.json"
+    assert main(["aggregate", *paths, "--out", str(out), *flags]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_aggregate_rejects_non_report(tmp_path, capsys):
     bogus = tmp_path / "x.json"
     bogus.write_text("{}")

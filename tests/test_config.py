@@ -48,6 +48,10 @@ def test_unknown_key_rejected(tmp_path):
         load_config(_write(tmp_path, "bump:\n  beta_ceiling: 0.5\n"))
     with pytest.raises(ConfigError, match="unknown config key"):
         load_config(_write(tmp_path, "bumps: {}\n"))
+    # Keys this package once had are unknown too, not silently ignored.
+    for removed in ("signal:\n  segment_overlap: 0.0\n", "bump:\n  z_threshold_mps2: 16.0\n"):
+        with pytest.raises(ConfigError, match="unknown config key"):
+            load_config(_write(tmp_path, removed))
 
 
 def test_scalar_where_mapping_expected(tmp_path):

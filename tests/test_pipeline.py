@@ -4,9 +4,9 @@ import io
 
 from roadsense import BumpSpec, Scenario, SpeedPoint, generate_trip
 from roadsense.geo import GpsFix, haversine_m
-from roadsense.pipeline import analyze_trip_file, analyze_trip_stream, run_pipeline
+from roadsense.pipeline import analyze_trip_file, analyze_trip_stream
 from roadsense.signal_core import AccelSample
-from roadsense.trip_io import TripReader, parse_trip_csv, write_report
+from roadsense.trip_io import TripReader, write_report
 
 from conftest import analyze_scenario
 
@@ -43,8 +43,8 @@ def test_single_bump_timed_and_located(config):
     assert abs(travelled - 5.0 * (ev.t_start_ms / 1000.0)) < 10.0
 
 
-def _block(t0_ms: int, value: float, n: int = 96) -> list[AccelSample]:
-    return [AccelSample(t0_ms + 20 * i, 0.0, 0.0, value) for i in range(n)]
+def _block(t0_ms: int, value: float, n: int = 96) -> list[tuple[str, AccelSample]]:
+    return [("A", AccelSample(t0_ms + 20 * i, 0.0, 0.0, value)) for i in range(n)]
 
 
 def test_long_gap_reseeds_gravity_filter(config):
@@ -52,13 +52,13 @@ def test_long_gap_reseeds_gravity_filter(config):
     # changed resting magnitude yields flat windows instead of a relaxation
     # tail. A 40 ms hiccup (two periods) must not reseed: the tail shows up.
     diag: list = []
-    samples = _block(0, 9.8) + _block(12_000, 12.0)
-    report = run_pipeline(samples, [], config, diagnostics=diag)
+    rows = _block(0, 9.8) + _block(12_000, 12.0)
+    report = analyze_trip_stream(rows, config, diagnostics=diag)
     assert report.events == []
     assert all(d["sigma_hat"] == 0.0 for d in diag)
 
     diag_hiccup: list = []
-    run_pipeline(_block(0, 9.8) + _block(1_940, 12.0), [], config, diagnostics=diag_hiccup)
+    analyze_trip_stream(_block(0, 9.8) + _block(1_940, 12.0), config, diagnostics=diag_hiccup)
     assert any(d["sigma_hat"] > 0.0 for d in diag_hiccup)
 
 
@@ -100,20 +100,6 @@ def test_analysis_is_deterministic(config):
     assert first == second
 
 
-def test_parsed_and_streamed_paths_agree(config):
-    scn = Scenario(
-        name="paths",
-        duration_s=40.0,
-        bumps=(BumpSpec(12.4, 1.5, 6),),
-        speed_profile=(SpeedPoint(0.0, 5.0),),
-    )
-    csv_text, _ = generate_trip(scn)
-    samples, fixes, _ = parse_trip_csv(io.StringIO(csv_text))
-    batch = run_pipeline(samples, fixes, config, trip_id="paths")
-    streamed = analyze_trip_stream(TripReader(io.StringIO(csv_text)), config, trip_id="paths")
-    assert batch == streamed
-
-
 def test_bump_inside_gps_gap_stays_unlocated(config):
     samples = [AccelSample(20 * i, 0.0, 0.0, 9.8) for i in range(2000)]
     pulse = (0.25, 0.75, 1.0, 0.75, 0.25, 0.05)
@@ -121,8 +107,10 @@ def test_bump_inside_gps_gap_stays_unlocated(config):
         s = samples[1004 + k]
         samples[1004 + k] = AccelSample(s.t_ms, 0.0, 0.0, 9.8 + 14.7 * frac)
     # Two fixes a minute apart: usable mean speed, but no idea where within.
-    fixes = [GpsFix(0, 45.0, 7.0, 5.0), GpsFix(60_000, 45.0027, 7.0, 5.0)]
-    report = run_pipeline(samples, fixes, config)
+    rows = [("A", s) for s in samples]
+    rows.insert(1, ("G", GpsFix(0, 45.0, 7.0, 5.0)))
+    rows.append(("G", GpsFix(60_000, 45.0027, 7.0, 5.0)))
+    report = analyze_trip_stream(rows, config)
     bumps = [e for e in report.events if e.kind == "bump"]
     assert len(bumps) == 1
     assert bumps[0].lat is None and bumps[0].lon is None

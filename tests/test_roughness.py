@@ -14,7 +14,7 @@ from roadsense.roughness import (
     update_alpha,
 )
 from roadsense.signal_core import Segment
-from roadsense.wavelet import WaveletCoeffs, build_haar_basis, dwt
+from roadsense.wavelet import WaveletCoeffs, dwt
 
 SCHEDULE = (0.992, 0.995, 0.996, 0.998)
 THRESHOLDS = (0.007, 0.008, 0.01)
@@ -34,8 +34,7 @@ def test_sigma_of_equal_details():
 
 
 def test_sigma_constant_segment_is_exactly_zero():
-    basis = build_haar_basis(32)
-    est = estimate_sigma(dwt(np.full(32, 9.8), basis))
+    est = estimate_sigma(dwt(np.full(32, 9.8)))
     assert est.sigma_hat == 0.0
 
 
@@ -47,19 +46,17 @@ def test_sigma_even_median_averages_central_pair():
 
 def test_sigma_scale_equivariant():
     rng = np.random.default_rng(0)
-    basis = build_haar_basis(32)
     for _ in range(20):
         x = rng.normal(0.0, 1.0, 32)
-        base = estimate_sigma(dwt(x, basis)).sigma_hat
-        scaled = estimate_sigma(dwt(-2.5 * x, basis)).sigma_hat
+        base = estimate_sigma(dwt(x)).sigma_hat
+        scaled = estimate_sigma(dwt(-2.5 * x)).sigma_hat
         assert scaled == pytest.approx(2.5 * base, rel=1e-9)
 
 
 def test_sigma_monte_carlo_mean_near_unit():
     rng = np.random.default_rng(1)
-    basis = build_haar_basis(32)
     estimates = [
-        estimate_sigma(dwt(rng.normal(0.0, 1.0, 32), basis)).sigma_hat
+        estimate_sigma(dwt(rng.normal(0.0, 1.0, 32))).sigma_hat
         for _ in range(2000)
     ]
     assert 0.9 <= float(np.mean(estimates)) <= 1.1
@@ -121,20 +118,18 @@ def test_update_alpha_monotone_in_cost():
 
 def test_alpha_never_leaves_schedule():
     rng = np.random.default_rng(3)
-    basis = build_haar_basis(32)
     state = RoughnessState()
     for _ in range(300):
         x = rng.normal(9.8, rng.uniform(0.0, 2.0), 32)
-        state, level = classify_segment(state, dwt(x, basis))
+        state, level = classify_segment(state, dwt(x))
         assert state.alpha in SCHEDULE
         assert level == SCHEDULE.index(state.alpha)
 
 
 def test_classify_constant_road_stays_smooth():
-    basis = build_haar_basis(32)
     state = RoughnessState()
     for _ in range(20):
-        state, level = classify_segment(state, dwt(np.full(32, 9.8), basis))
+        state, level = classify_segment(state, dwt(np.full(32, 9.8)))
         assert level == 0
         assert state.alpha == 0.992
 

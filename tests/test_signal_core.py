@@ -6,12 +6,8 @@ import numpy as np
 import pytest
 
 from roadsense.errors import ConfigError, InvalidSampleError
-from roadsense.signal_core import (
-    AccelSample,
-    SegmentBuffer,
-    resultant_magnitude,
-    segment_stream,
-)
+from roadsense.gravity_filter import gravity_magnitude
+from roadsense.signal_core import AccelSample, SegmentBuffer
 
 
 def _random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -20,17 +16,17 @@ def _random_rotation(rng: np.random.Generator) -> np.ndarray:
 
 
 def test_resultant_single_axis():
-    assert resultant_magnitude(0.0, 0.0, 9.8) == 9.8
+    assert gravity_magnitude((0.0, 0.0, 9.8)) == 9.8
 
 
 def test_resultant_pythagorean_triple():
-    assert resultant_magnitude(3.0, 4.0, 12.0) == 13.0
+    assert gravity_magnitude((3.0, 4.0, 12.0)) == 13.0
 
 
 def test_resultant_non_negative():
     rng = np.random.default_rng(0)
     for v in rng.normal(0, 20, (100, 3)):
-        assert resultant_magnitude(*v) >= 0.0
+        assert gravity_magnitude(tuple(v)) >= 0.0
 
 
 def test_resultant_rotation_invariant():
@@ -38,15 +34,15 @@ def test_resultant_rotation_invariant():
     for _ in range(200):
         v = rng.normal(0, 10, 3)
         rotated = _random_rotation(rng) @ v
-        a, b = resultant_magnitude(*v), resultant_magnitude(*rotated)
+        a, b = gravity_magnitude(tuple(v)), gravity_magnitude(tuple(rotated))
         assert a == pytest.approx(b, rel=1e-9)
 
 
 def test_resultant_rejects_non_finite():
     with pytest.raises(InvalidSampleError):
-        resultant_magnitude(math.nan, 0.0, 0.0)
+        gravity_magnitude((math.nan, 0.0, 0.0))
     with pytest.raises(InvalidSampleError):
-        resultant_magnitude(0.0, math.inf, 0.0)
+        gravity_magnitude((0.0, math.inf, 0.0))
 
 
 def test_accel_sample_rejects_non_finite():
@@ -58,8 +54,13 @@ def _pairs(n: int) -> list[tuple[int, float]]:
     return [(20 * i, float(i)) for i in range(n)]
 
 
+def _segments(n: int) -> list:
+    buf = SegmentBuffer(window=32)
+    return [s for t, v in _pairs(n) if (s := buf.push(t, v)) is not None]
+
+
 def test_segments_exact_multiple():
-    segs = list(segment_stream(_pairs(96), window=32))
+    segs = _segments(96)
     assert [s.index for s in segs] == [0, 1, 2]
     assert all(len(s.values) == 32 for s in segs)
 
@@ -72,32 +73,22 @@ def test_segments_trailing_remainder_dropped():
 
 
 def test_segments_below_window_size():
-    assert list(segment_stream(_pairs(31), window=32)) == []
+    assert _segments(31) == []
 
 
 def test_segments_tile_without_gap_or_overlap():
-    segs = list(segment_stream(_pairs(96), window=32))
+    segs = _segments(96)
     stitched = np.concatenate([s.values for s in segs])
     assert np.array_equal(stitched, np.arange(96, dtype=float))
 
 
 def test_segment_time_span():
-    segs = list(segment_stream(_pairs(64), window=32))
+    segs = _segments(64)
     assert (segs[0].t_start_ms, segs[0].t_end_ms) == (0, 620)
     assert (segs[1].t_start_ms, segs[1].t_end_ms) == (640, 1260)
     assert all(s.t_start_ms < s.t_end_ms for s in segs)
 
 
-def test_overlap_half_reuses_tail():
-    segs = list(segment_stream(_pairs(64), window=32, overlap=0.5))
-    assert len(segs) == 3
-    assert np.array_equal(segs[0].values[16:], segs[1].values[:16])
-
-
 def test_segment_buffer_validation():
     with pytest.raises(ConfigError):
         SegmentBuffer(window=1)
-    with pytest.raises(ConfigError):
-        SegmentBuffer(window=32, overlap=1.0)
-    with pytest.raises(ConfigError):
-        SegmentBuffer(window=32, overlap=-0.1)

@@ -16,7 +16,11 @@ from roadsense.synth import (
     generate_trip,
     load_scenario,
 )
-from roadsense.trip_io import parse_trip_csv
+from roadsense.trip_io import TripReader
+
+
+def _fixes(csv_text: str) -> list:
+    return [value for kind, value in TripReader(csv_text) if kind == "G"]
 
 
 def _accel_rows(csv_text: str) -> np.ndarray:
@@ -99,7 +103,7 @@ def test_orientation_is_normalized_and_carries_bumps():
 
 def test_gps_track_integrates_speed():
     scn = Scenario(name="v", duration_s=30.0, speed_profile=(SpeedPoint(0.0, 5.0),))
-    _, fixes, _ = parse_trip_csv(generate_trip(scn)[0].splitlines())
+    fixes = _fixes(generate_trip(scn)[0])
     m_per_deg = 6_371_000.0 * math.pi / 180.0
     t10 = next(f for f in fixes if f.t_ms == 10_000)
     assert t10.lat * m_per_deg == pytest.approx(50.0, abs=0.05)
@@ -109,7 +113,7 @@ def test_gps_track_integrates_speed():
 def test_piecewise_speed_profile():
     scn = Scenario(name="pw", duration_s=25.0,
                    speed_profile=(SpeedPoint(0.0, 0.0), SpeedPoint(10.0, 5.0)))
-    _, fixes, _ = parse_trip_csv(generate_trip(scn)[0].splitlines())
+    fixes = _fixes(generate_trip(scn)[0])
     m_per_deg = 6_371_000.0 * math.pi / 180.0
     t10 = next(f for f in fixes if f.t_ms == 10_000)
     t20 = next(f for f in fixes if f.t_ms == 20_000)
@@ -131,9 +135,10 @@ def test_fix_count_follows_gps_rate():
 def test_output_parses_cleanly():
     scn = Scenario(name="clean", duration_s=15.0, noise_sigma_g=0.05,
                    bumps=(BumpSpec(5.0, 1.2, 6),), rng_seed=4)
-    samples, fixes, stats = parse_trip_csv(generate_trip(scn)[0].splitlines())
-    assert stats.malformed_rows == 0
-    assert len(samples) == 750 and len(fixes) == 16
+    reader = TripReader(generate_trip(scn)[0])
+    kinds = [kind for kind, _ in reader]
+    assert reader.stats.malformed_rows == 0
+    assert kinds.count("A") == 750 and kinds.count("G") == 16
 
 
 def test_pulse_shape():

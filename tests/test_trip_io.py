@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import json
 
 import pytest
 
@@ -8,17 +9,15 @@ from roadsense.errors import CorruptTripError, OrderingError, TripFormatError
 from roadsense.events import RoadEvent, TripReport, TripStats
 from roadsense.geo import GpsFix
 from roadsense.signal_core import AccelSample
-from roadsense.trip_io import (
-    TRIP_HEADER,
-    TripReader,
-    parse_report,
-    parse_trip_csv,
-    write_report,
-)
+from roadsense.trip_io import TRIP_HEADER, TripReader, parse_report, write_report
 
 
 def _trip_text(rows: list[str]) -> str:
     return "\n".join([TRIP_HEADER, *rows]) + "\n"
+
+
+def _kinds(rows, kind: str) -> list:
+    return [value for k, value in rows if k == kind]
 
 
 def test_header_required():
@@ -37,44 +36,47 @@ def test_parses_both_row_kinds():
             "A,40,0.000000,0.000000,9.800000",
         ]
     )
-    samples, fixes, stats = parse_trip_csv(io.StringIO(text))
-    assert [s.t_ms for s in samples] == [0, 20, 40]
-    assert samples[0] == AccelSample(0, 0.01, -0.02, 9.81)
-    assert fixes == [GpsFix(0, 48.1, 11.5, 5.0)]
-    assert stats.total_rows == 4 and stats.malformed_rows == 0
+    reader = TripReader(io.StringIO(text))
+    rows = list(reader)
+    assert [kind for kind, _ in rows] == ["A", "G", "A", "A"]
+    assert [s.t_ms for s in _kinds(rows, "A")] == [0, 20, 40]
+    assert rows[0] == ("A", AccelSample(0, 0.01, -0.02, 9.81))
+    assert rows[1] == ("G", GpsFix(0, 48.1, 11.5, 5.0))
+    assert reader.stats.total_rows == 4 and reader.stats.malformed_rows == 0
 
 
 def test_missing_accuracy_becomes_none():
-    samples, fixes, _ = parse_trip_csv(io.StringIO(_trip_text(["G,0,1.0,2.0,"])))
-    assert fixes[0].accuracy_m is None
+    [(_, fix)] = TripReader(io.StringIO(_trip_text(["G,0,1.0,2.0,"])))
+    assert fix.accuracy_m is None
 
 
 def test_blank_lines_ignored():
     text = _trip_text(["A,0,0,0,9.8", "", "A,20,0,0,9.8", "   "])
-    samples, _, stats = parse_trip_csv(io.StringIO(text))
-    assert len(samples) == 2
-    assert stats.total_rows == 2
+    reader = TripReader(io.StringIO(text))
+    assert len(list(reader)) == 2
+    assert reader.stats.total_rows == 2
 
 
 def test_malformed_rows_counted_not_fatal():
     rows = ["A,%d,0,0,9.8" % (20 * i) for i in range(300)]
     rows[50] = "A,1000,zero,0,9.8"
     rows[51] = "A,1020,0,0"
-    samples, _, stats = parse_trip_csv(io.StringIO(_trip_text(rows)))
-    assert stats.malformed_rows == 2
-    assert len(samples) == 298
+    reader = TripReader(io.StringIO(_trip_text(rows)))
+    assert len(list(reader)) == 298
+    assert reader.stats.malformed_rows == 2
 
 
 def test_unknown_row_type_is_malformed():
     rows = ["X,0,1,2,3"] + ["A,%d,0,0,9.8" % (20 * i) for i in range(150)]
-    _, _, stats = parse_trip_csv(io.StringIO(_trip_text(rows)))
-    assert stats.malformed_rows == 1
+    reader = TripReader(io.StringIO(_trip_text(rows)))
+    assert len(list(reader)) == 150
+    assert reader.stats.malformed_rows == 1
 
 
 def test_out_of_range_fix_is_malformed():
     rows = ["G,0,95.0,11.5,5.0"] + ["A,%d,0,0,9.8" % (20 * i) for i in range(150)]
-    _, fixes, stats = parse_trip_csv(io.StringIO(_trip_text(rows)))
-    assert fixes == [] and stats.malformed_rows == 1
+    reader = TripReader(io.StringIO(_trip_text(rows)))
+    assert _kinds(reader, "G") == [] and reader.stats.malformed_rows == 1
 
 
 def test_corrupt_budget_enforced_at_eof():
@@ -82,20 +84,23 @@ def test_corrupt_budget_enforced_at_eof():
     for i in range(2):
         rows[i] = "bad"
     with pytest.raises(CorruptTripError):
-        parse_trip_csv(io.StringIO(_trip_text(rows)))
+        list(TripReader(io.StringIO(_trip_text(rows))))
 
 
 def test_corrupt_budget_boundary():
     # Exactly one percent malformed is still tolerated.
     rows = ["A,%d,0,0,9.8" % (20 * i) for i in range(99)] + ["bad"]
-    _, _, stats = parse_trip_csv(io.StringIO(_trip_text(rows)))
-    assert stats.malformed_rows == 1
+    reader = TripReader(io.StringIO(_trip_text(rows)))
+    assert len(list(reader)) == 99
+    assert reader.stats.malformed_rows == 1
 
 
 def test_ordering_violation_raises_immediately():
     text = _trip_text(["A,100,0,0,9.8", "A,80,0,0,9.8"])
+    rows = iter(TripReader(io.StringIO(text)))
+    assert next(rows)[1].t_ms == 100
     with pytest.raises(OrderingError):
-        parse_trip_csv(io.StringIO(text))
+        next(rows)
     assert issubclass(OrderingError, CorruptTripError)
 
 
@@ -111,8 +116,8 @@ def test_streams_ordered_independently():
             "G,1010,1.0,2.0,5.0",
         ]
     )
-    samples, fixes, _ = parse_trip_csv(io.StringIO(text))
-    assert len(samples) == 3 and len(fixes) == 2
+    rows = list(TripReader(io.StringIO(text)))
+    assert len(_kinds(rows, "A")) == 3 and len(_kinds(rows, "G")) == 2
 
 
 def _report() -> TripReport:
@@ -167,3 +172,16 @@ def test_parse_report_rejects_garbage():
         parse_report("not json")
     with pytest.raises(TripFormatError):
         parse_report('{"schema_version": 1}')
+    with pytest.raises(TripFormatError):
+        parse_report("[]")
+
+
+@pytest.mark.parametrize("version", [None, 0, 2, "1"], ids=["missing", "0", "2", "string-1"])
+def test_parse_report_rejects_unknown_schema_version(version):
+    payload = json.loads(write_report(_report()))
+    if version is None:
+        del payload["schema_version"]
+    else:
+        payload["schema_version"] = version
+    with pytest.raises(TripFormatError, match="schema_version"):
+        parse_report(json.dumps(payload))

@@ -6,21 +6,19 @@ import time
 import numpy as np
 import pytest
 
-from roadsense.errors import ConfigError, ShapeError
+from roadsense.errors import ShapeError
 from roadsense.oracles import oracle_dwt
-from roadsense.wavelet import (
-    build_haar_basis,
-    coeff_vector,
-    detail_scale,
-    dwt,
-    find_peaks,
-    idwt,
-)
+from roadsense.wavelet import dwt, find_peaks
+
+
+def _flat(coeffs) -> np.ndarray:
+    return np.concatenate([[coeffs.approx], *coeffs.details])
 
 
 @pytest.fixture(scope="module")
-def basis():
-    return build_haar_basis(32)
+def analysis():
+    """32 x 32 matrix of the shipped transform: column k is dwt of unit vector k."""
+    return np.column_stack([_flat(dwt(e)) for e in np.eye(32)])
 
 
 def _flat_max_diff(a, b) -> float:
@@ -30,46 +28,41 @@ def _flat_max_diff(a, b) -> float:
 
 
 def test_smallest_basis():
-    b = build_haar_basis(2)
     inv = 2.0**-0.5
-    assert b.levels == 1
-    assert np.allclose(b.matrix, [[inv, inv], [inv, -inv]], rtol=0.0, atol=1e-15)
+    coeffs = dwt(np.array([3.0, 1.0]))
+    assert coeffs.levels == 1
+    assert coeffs.approx == pytest.approx(4.0 * inv, abs=1e-15)
+    assert coeffs.details[0] == pytest.approx([2.0 * inv], abs=1e-15)
 
 
 def test_basis_size_validation():
     for size in (0, 1, 3, 12, 33):
-        with pytest.raises(ConfigError):
-            build_haar_basis(size)
+        with pytest.raises(ShapeError):
+            dwt(np.zeros(size))
 
 
-def test_orthonormality(basis):
-    gram = basis.matrix.T @ basis.matrix
-    assert np.abs(gram - np.eye(32)).max() < 1e-9
+def test_orthonormality(analysis):
+    assert np.abs(analysis.T @ analysis - np.eye(32)).max() < 1e-9
 
 
-def test_column_norms_are_one(basis):
-    norms = np.linalg.norm(basis.matrix, axis=0)
-    assert np.abs(norms - 1.0).max() < 1e-12
-
-
-def test_vanishing_moment(basis):
-    # Every column except the approximation one sums to zero.
-    sums = basis.matrix.sum(axis=0)
+def test_vanishing_moment(analysis):
+    # Every detail row sums to zero; the approximation row sums to sqrt(L).
+    sums = analysis.sum(axis=1)
     assert abs(sums[0] - math.sqrt(32)) < 1e-12
     assert np.abs(sums[1:]).max() < 1e-12
 
 
-def test_constant_input_details_exactly_zero(basis):
-    coeffs = dwt(np.full(32, 9.8), basis)
+def test_constant_input_details_exactly_zero():
+    coeffs = dwt(np.full(32, 9.8))
     for d in coeffs.details:
         assert np.all(d == 0.0)
     assert coeffs.approx == pytest.approx(9.8 * math.sqrt(32), abs=1e-12)
 
 
-def test_single_opposed_pair(basis):
+def test_single_opposed_pair():
     x = np.zeros(32)
     x[0], x[1] = 1.0, -1.0
-    coeffs = dwt(x, basis)
+    coeffs = dwt(x)
     assert coeffs.details[0][0] == math.sqrt(2.0)
     assert np.all(coeffs.details[0][1:] == 0.0)
     for d in coeffs.details[1:]:
@@ -78,77 +71,62 @@ def test_single_opposed_pair(basis):
     assert _flat_max_diff(coeffs, oracle_dwt(x)) == 0.0
 
 
-def test_coefficient_counts(basis):
-    coeffs = dwt(np.arange(32, dtype=float), basis)
+def test_coefficient_counts():
+    coeffs = dwt(np.arange(32, dtype=float))
     assert [len(d) for d in coeffs.details] == [16, 8, 4, 2, 1]
     assert coeffs.levels == 5
 
 
-def test_energy_conservation(basis):
+def test_energy_conservation():
     rng = np.random.default_rng(3)
     for _ in range(50):
         x = rng.normal(9.8, 2.0, 32)
-        coeffs = dwt(x, basis)
+        coeffs = dwt(x)
         energy = coeffs.approx**2 + sum(float(d @ d) for d in coeffs.details)
         assert energy == pytest.approx(float(x @ x), rel=1e-9)
 
 
-def test_linearity(basis):
+def test_linearity():
     rng = np.random.default_rng(4)
     x, y = rng.normal(0, 1, 32), rng.normal(0, 1, 32)
-    combo = dwt(2.5 * x - 0.5 * y, basis)
-    cx, cy = dwt(x, basis), dwt(y, basis)
+    combo = dwt(2.5 * x - 0.5 * y)
+    cx, cy = dwt(x), dwt(y)
     assert combo.approx == pytest.approx(2.5 * cx.approx - 0.5 * cy.approx, abs=1e-12)
     for dc, dx, dy in zip(combo.details, cx.details, cy.details):
         assert np.abs(dc - (2.5 * dx - 0.5 * dy)).max() < 1e-12
 
 
-def test_round_trip(basis):
+def test_round_trip(analysis):
+    # The coefficients determine the window: the transposed analysis rebuilds it.
     rng = np.random.default_rng(5)
     for _ in range(20):
         x = rng.normal(9.8, 3.0, 32)
-        assert np.abs(idwt(dwt(x, basis), basis) - x).max() < 1e-9
+        assert np.abs(analysis.T @ _flat(dwt(x)) - x).max() < 1e-9
 
 
-def test_matches_matrix_product(basis):
-    # The pyramid evaluation must agree with the defining B^T x product.
-    rng = np.random.default_rng(6)
-    for _ in range(50):
-        x = rng.normal(9.8, 2.0, 32)
-        coeffs = dwt(x, basis)
-        ref = basis.matrix.T @ x
-        assert np.abs(coeff_vector(coeffs) - ref).max() < 1e-9
-
-
-def test_matches_inner_product_oracle(basis):
+def test_matches_inner_product_oracle():
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(200):
         x = rng.normal(9.8, 2.0, 32)
-        worst = max(worst, _flat_max_diff(dwt(x, basis), oracle_dwt(x)))
+        worst = max(worst, _flat_max_diff(dwt(x), oracle_dwt(x)))
     assert worst < 1e-9
 
 
-def test_oracle_recovers_single_atom(basis):
-    coeffs = oracle_dwt(basis.matrix[:, 16])
+def test_oracle_recovers_single_atom():
+    # The first finest-scale atom: +2^-1/2 on sample 0, -2^-1/2 on sample 1.
+    atom = np.zeros(32)
+    atom[0], atom[1] = 2.0**-0.5, -(2.0**-0.5)
+    coeffs = oracle_dwt(atom)
     assert coeffs.details[0][0] == pytest.approx(1.0, abs=1e-12)
     assert abs(coeffs.approx) < 1e-12
     assert np.abs(coeffs.details[0][1:]).max() < 1e-12
 
 
-def test_detail_scale_lengths(basis):
-    coeffs = dwt(np.arange(32, dtype=float), basis)
-    assert len(detail_scale(coeffs, 1)) == 16
-    assert len(detail_scale(coeffs, 2)) == 8
-    assert len(detail_scale(coeffs, 5)) == 1
-    for j in (0, 6):
-        with pytest.raises(IndexError):
-            detail_scale(coeffs, j)
-
-
-def test_dwt_shape_mismatch(basis):
-    with pytest.raises(ShapeError):
-        dwt(np.zeros(16), basis)
+def test_dwt_shape_mismatch():
+    for shape in ((4, 8), (32, 1), ()):
+        with pytest.raises(ShapeError):
+            dwt(np.zeros(shape))
 
 
 def test_find_peaks_single():
@@ -182,10 +160,10 @@ def test_find_peaks_short_series():
     assert find_peaks(np.array([]))[0].size == 0
 
 
-def test_transform_speed(basis):
+def test_transform_speed():
     x = np.random.default_rng(8).normal(9.8, 1.0, 32)
     start = time.perf_counter()
     for _ in range(1000):
-        dwt(x, basis)
+        dwt(x)
     per_call = (time.perf_counter() - start) / 1000
     assert per_call < 1e-3
