@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, field
 
 from .config import SCHEMA_VERSION
+from .errors import TripFormatError
 from .events import RoadEvent, TripReport
 from .geo import EARTH_RADIUS_M, haversine_m
 
@@ -47,10 +48,15 @@ def cluster_events(
 
     Unlocated events (GPS gap at the wrong moment) cannot support a map
     entry and are skipped. An event joins the nearest centroid within the
-    radius, else starts a new cluster.
+    radius, else starts a new cluster. Two reports with the same trip id
+    would count as one trip, so they raise :class:`TripFormatError`.
     """
+    ordered = sorted(reports, key=lambda r: r.trip_id)
+    for a, b in zip(ordered, ordered[1:]):
+        if a.trip_id == b.trip_id:
+            raise TripFormatError(f"two reports share trip_id {a.trip_id!r}")
     clusters: list[HazardCluster] = []
-    for report in sorted(reports, key=lambda r: r.trip_id):
+    for report in ordered:
         for ev in report.events:
             if ev.lat is None or ev.lon is None:
                 continue

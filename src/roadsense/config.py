@@ -102,6 +102,7 @@ def _require(cond: bool, message: str) -> None:
 
 def _validate(cfg: PipelineConfig) -> None:
     sig, rough = cfg.signal, cfg.roughness
+    _require(cfg.schema_version == SCHEMA_VERSION, f"schema_version must be {SCHEMA_VERSION}")
     _require(sig.sample_rate_hz > 0, "sample_rate_hz must be positive")
     n = sig.segment_len
     _require(n >= 8 and (n & (n - 1)) == 0, "segment_len must be a power of two >= 8")
@@ -139,42 +140,55 @@ def _validate(cfg: PipelineConfig) -> None:
     _require(cfg.aggregate.min_trips >= 1, "min_trips must be at least 1")
 
 
+def _typed(value, kind: type, where: str):
+    """``value`` if it is a ``kind``; ints pass as floats, bools never as numbers."""
+    if kind is float and type(value) is int:
+        value = float(value)
+    if type(value) is not kind:
+        raise ConfigError(f"config key {where} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def _build(raw: dict) -> PipelineConfig:
-    try:
-        cfg = PipelineConfig(
-            schema_version=int(raw["schema_version"]),
-            signal=SignalConfig(
-                sample_rate_hz=float(raw["signal"]["sample_rate_hz"]),
-                segment_len=int(raw["signal"]["segment_len"]),
-                reseed_gap_periods=float(raw["signal"]["reseed_gap_periods"]),
-            ),
-            gravity=GravityConfig(alpha=float(raw["gravity"]["alpha"])),
-            roughness=RoughnessConfig(
-                alpha_schedule=tuple(float(a) for a in raw["roughness"]["alpha_schedule"]),
-                forgetting=float(raw["roughness"]["forgetting"]),
-                history_len=int(raw["roughness"]["history_len"]),
-                cost_thresholds=tuple(float(t) for t in raw["roughness"]["cost_thresholds"]),
-                sigma_normalization=float(raw["roughness"]["sigma_normalization"]),
-                hold_off_segments=int(raw["roughness"]["hold_off_segments"]),
-            ),
-            bump=BumpConfig(
-                beta_max=float(raw["bump"]["beta_max"]),
-                min_speed_mps=float(raw["bump"]["min_speed_mps"]),
-                allow_unknown_speed=bool(raw["bump"]["allow_unknown_speed"]),
-                merge_window_ms=int(raw["bump"]["merge_window_ms"]),
-                peak_plateau_policy=str(raw["bump"]["peak_plateau_policy"]),
-            ),
-            gps=GpsConfig(
-                max_gap_ms=int(raw["gps"]["max_gap_ms"]),
-                earth_radius_m=float(raw["gps"]["earth_radius_m"]),
-            ),
-            aggregate=AggregateConfig(
-                cluster_radius_m=float(raw["aggregate"]["cluster_radius_m"]),
-                min_trips=int(raw["aggregate"]["min_trips"]),
-            ),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed config: {exc}") from exc
+    def get(path: str, kind: type):
+        section, key = path.split(".")
+        return _typed(raw[section][key], kind, path)
+
+    def floats(path: str) -> tuple[float, ...]:
+        return tuple(_typed(v, float, path) for v in get(path, list))
+
+    cfg = PipelineConfig(
+        schema_version=_typed(raw["schema_version"], int, "schema_version"),
+        signal=SignalConfig(
+            sample_rate_hz=get("signal.sample_rate_hz", float),
+            segment_len=get("signal.segment_len", int),
+            reseed_gap_periods=get("signal.reseed_gap_periods", float),
+        ),
+        gravity=GravityConfig(alpha=get("gravity.alpha", float)),
+        roughness=RoughnessConfig(
+            alpha_schedule=floats("roughness.alpha_schedule"),
+            forgetting=get("roughness.forgetting", float),
+            history_len=get("roughness.history_len", int),
+            cost_thresholds=floats("roughness.cost_thresholds"),
+            sigma_normalization=get("roughness.sigma_normalization", float),
+            hold_off_segments=get("roughness.hold_off_segments", int),
+        ),
+        bump=BumpConfig(
+            beta_max=get("bump.beta_max", float),
+            min_speed_mps=get("bump.min_speed_mps", float),
+            allow_unknown_speed=get("bump.allow_unknown_speed", bool),
+            merge_window_ms=get("bump.merge_window_ms", int),
+            peak_plateau_policy=get("bump.peak_plateau_policy", str),
+        ),
+        gps=GpsConfig(
+            max_gap_ms=get("gps.max_gap_ms", int),
+            earth_radius_m=get("gps.earth_radius_m", float),
+        ),
+        aggregate=AggregateConfig(
+            cluster_radius_m=get("aggregate.cluster_radius_m", float),
+            min_trips=get("aggregate.min_trips", int),
+        ),
+    )
     _validate(cfg)
     return cfg
 

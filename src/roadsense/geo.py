@@ -35,8 +35,7 @@ def haversine_m(
 
 def _bracket(fixes: list[GpsFix], t_ms: int) -> tuple[GpsFix, GpsFix]:
     # Index of the first fix strictly after t, clamped so both ends exist.
-    times = [f.t_ms for f in fixes]
-    hi = bisect_right(times, t_ms)
+    hi = bisect_right(fixes, t_ms, key=lambda f: f.t_ms)
     hi = min(max(hi, 1), len(fixes) - 1)
     return fixes[hi - 1], fixes[hi]
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import ConfigError, InvalidSampleError
+from .errors import ConfigError
 
 DEFAULT_ALPHA = 0.992
 
@@ -30,7 +30,7 @@ def _check_alpha(alpha: float) -> None:
 
 
 def make_filter(alpha: float = DEFAULT_ALPHA) -> FilterState:
-    """Fresh unseeded state; the first sample becomes the initial estimate."""
+    """Fresh unseeded state; the first sample seeds it. Samples must be finite."""
     _check_alpha(alpha)
     return FilterState(alpha, 0.0, 0.0, 0.0, False)
 
@@ -39,9 +39,6 @@ def filter_step(
     state: FilterState, ax: float, ay: float, az: float
 ) -> tuple[FilterState, tuple[float, float, float]]:
     """Advance one sample; returns the new state and the filtered triple."""
-    _check_alpha(state.alpha)
-    if not (math.isfinite(ax) and math.isfinite(ay) and math.isfinite(az)):
-        raise InvalidSampleError("non-finite input to filter_step")
     if not state.seeded:
         new = FilterState(state.alpha, ax, ay, az, True)
         return new, (ax, ay, az)
@@ -55,13 +52,11 @@ def filter_step(
 def gravity_magnitude(filtered: tuple[float, float, float]) -> float:
     """Euclidean norm of a filtered triple; hovers near 9.8 on steady ground."""
     gx, gy, gz = filtered
-    if not (math.isfinite(gx) and math.isfinite(gy) and math.isfinite(gz)):
-        raise InvalidSampleError("non-finite filtered values")
     return math.sqrt(gx * gx + gy * gy + gz * gz)
 
 
 def set_alpha(state: FilterState, alpha: float) -> FilterState:
-    """Change the smoothing factor without disturbing the tracked gravity."""
+    """Change the smoothing factor, keeping the tracked gravity; samples must be finite."""
     _check_alpha(alpha)
     return state._replace(alpha=alpha)
 

@@ -82,7 +82,10 @@ def analyze_trip_stream(
             fixes.append(value)
             continue
         if prev_t is not None and value.t_ms - prev_t > gap_ms:
+            # No window spans a sensor gap, and stale filter state does not
+            # carry across it.
             fstate = reset_seed(fstate)
+            segbuf.restart()
         prev_t = value.t_ms
         fstate, g = filter_step(fstate, value.ax, value.ay, value.az)
         seg = segbuf.push(value.t_ms, gravity_magnitude(g))

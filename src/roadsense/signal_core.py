@@ -43,7 +43,8 @@ class SegmentBuffer:
     """Accumulates (t_ms, value) pairs and emits windows of fixed width.
 
     The windows tile the stream; a trailing remainder shorter than one window
-    is never emitted and shows up in ``dropped``.
+    is never emitted and shows up in ``dropped``, as do the samples a
+    :meth:`restart` discards.
     """
 
     def __init__(self, window: int = 32) -> None:
@@ -53,6 +54,7 @@ class SegmentBuffer:
         self._ts: list[int] = []
         self._vals: list[float] = []
         self.count = 0
+        self._discarded = 0
 
     def push(self, t_ms: int, value: float) -> Segment | None:
         self._ts.append(t_ms)
@@ -70,8 +72,14 @@ class SegmentBuffer:
         self._vals.clear()
         return seg
 
+    def restart(self) -> None:
+        """Discard the pending partial window, e.g. at a sensor gap."""
+        self._discarded += len(self._vals)
+        self._ts.clear()
+        self._vals.clear()
+
     @property
     def dropped(self) -> int:
         """Samples seen so far that are not covered by any emitted window."""
-        return len(self._vals)
+        return self._discarded + len(self._vals)
 

@@ -4,11 +4,17 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from roadsense import PipelineConfig, Scenario, generate_trip, load_config
 from roadsense.events import TripReport
 from roadsense.pipeline import analyze_trip_stream
 from roadsense.trip_io import TripReader
+
+# Property tests draw the same examples on every run, with no example
+# database and no per-example deadline, so timing noise cannot fail them.
+settings.register_profile("roadsense", derandomize=True, database=None, deadline=None)
+settings.load_profile("roadsense")
 
 
 @pytest.fixture(scope="session")

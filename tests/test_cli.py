@@ -138,6 +138,18 @@ def test_aggregate_rejects_out_of_range_flags(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+def test_aggregate_rejects_duplicate_trip_ids(tmp_path, capsys):
+    # Two trips both named after their file stem must not count as one trip.
+    paths = []
+    for folder in ("a", "b"):
+        (tmp_path / folder).mkdir()
+        paths.append(_report_file(tmp_path / folder, "monday", 48.0))
+    out = tmp_path / "map.json"
+    assert main(["aggregate", *paths, "--out", str(out)]) == 2
+    assert "'monday'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_aggregate_rejects_non_report(tmp_path, capsys):
     bogus = tmp_path / "x.json"
     bogus.write_text("{}")

@@ -90,6 +90,14 @@ def test_invalid_yaml(tmp_path):
         "bump:\n  min_speed_mps: -1\n",
         "gps:\n  max_gap_ms: 0\n",
         "aggregate:\n  min_trips: 0\n",
+        # Wrong types are rejected, not coerced.
+        "signal:\n  segment_len: 32.7\n",
+        "roughness:\n  history_len: 8.9\n",
+        "bump:\n  allow_unknown_speed: 'false'\n",
+        "aggregate:\n  min_trips: true\n",
+        "gravity:\n  alpha: '0.992'\n",
+        "roughness:\n  cost_thresholds: [0.007, '0.008', 0.01]\n",
+        "schema_version: 7\n",
     ],
 )
 def test_validation_rejects(tmp_path, override):

@@ -3,6 +3,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from roadsense.errors import InvalidSampleError, NoLocationError, NoSpeedError
 from roadsense.geo import (
@@ -153,3 +155,69 @@ def test_locate_event_interpolates_dense_track():
     loc = locate_event(fixes, 1_000, 5_000)
     assert loc is not None
     assert loc[0] == pytest.approx(0.0005, abs=1e-12)
+
+
+# -- Property: every lookup brackets like a linear scan over the track ---------
+
+
+def _scan_bracket(fixes: list[GpsFix], t_ms: int) -> tuple[GpsFix, GpsFix]:
+    hi = next((i for i, f in enumerate(fixes) if f.t_ms > t_ms), len(fixes))
+    hi = min(max(hi, 1), len(fixes) - 1)
+    return fixes[hi - 1], fixes[hi]
+
+
+def _scan_position(fixes: list[GpsFix], t_ms: int) -> tuple[float, float]:
+    first, last = fixes[0], fixes[-1]
+    if len(fixes) == 1 or t_ms <= first.t_ms:
+        return first.lat, first.lon
+    if t_ms >= last.t_ms:
+        return last.lat, last.lon
+    lo, hi = _scan_bracket(fixes, t_ms)
+    if hi.t_ms == lo.t_ms:
+        return lo.lat, lo.lon
+    w = (t_ms - lo.t_ms) / (hi.t_ms - lo.t_ms)
+    return lo.lat + w * (hi.lat - lo.lat), lo.lon + w * (hi.lon - lo.lon)
+
+
+def _scan_speed(fixes: list[GpsFix], t_ms: int) -> float:
+    lo, hi = _scan_bracket(fixes, t_ms)
+    if hi.t_ms <= lo.t_ms:
+        return 0.0
+    return haversine_m(lo.lat, lo.lon, hi.lat, hi.lon, EARTH_R) / ((hi.t_ms - lo.t_ms) / 1000.0)
+
+
+def _scan_locate(fixes: list[GpsFix], t_ms: int, max_gap_ms: int) -> tuple[float, float] | None:
+    if fixes[0].t_ms < t_ms < fixes[-1].t_ms:
+        lo, hi = _scan_bracket(fixes, t_ms)
+        if hi.t_ms - lo.t_ms > max_gap_ms and lo.t_ms < t_ms < hi.t_ms:
+            return None
+    return _scan_position(fixes, t_ms)
+
+
+@st.composite
+def _tracks(draw) -> list[GpsFix]:
+    # Zero steps repeat a timestamp; the rest range from dense to long gaps.
+    steps = draw(st.lists(st.one_of(st.just(0), st.integers(1, 30_000)), max_size=25))
+    t = draw(st.integers(0, 10_000))
+    fixes = []
+    for step in [0, *steps]:
+        t += step
+        lat = draw(st.floats(-90.0, 90.0))
+        lon = draw(st.floats(-180.0, 180.0))
+        fixes.append(_fix(t, lat, lon))
+    return fixes
+
+
+@given(track=_tracks(), data=st.data())
+def test_lookups_match_linear_scan_reference(track, data):
+    times = [f.t_ms for f in track]
+    on_or_between = st.one_of(
+        st.sampled_from(times), st.integers(times[0] - 20_000, times[-1] + 20_000)
+    )
+    queries = data.draw(st.lists(on_or_between, min_size=1, max_size=10))
+    max_gap_ms = data.draw(st.integers(1, 20_000))
+    for t in queries:
+        assert interpolate_position(track, t) == _scan_position(track, t)
+        assert locate_event(track, t, max_gap_ms) == _scan_locate(track, t, max_gap_ms)
+        if len(track) > 1:
+            assert speed_at(track, t, EARTH_R) == _scan_speed(track, t)

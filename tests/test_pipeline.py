@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import io
+from pathlib import Path
+
+from hypothesis import given
+from hypothesis import strategies as st
 
 from roadsense import BumpSpec, Scenario, SpeedPoint, generate_trip
 from roadsense.geo import GpsFix, haversine_m
 from roadsense.pipeline import analyze_trip_file, analyze_trip_stream
 from roadsense.signal_core import AccelSample
+from roadsense.synth import load_scenario
 from roadsense.trip_io import TripReader, write_report
 
 from conftest import analyze_scenario
@@ -60,6 +65,64 @@ def test_long_gap_reseeds_gravity_filter(config):
     diag_hiccup: list = []
     analyze_trip_stream(_block(0, 9.8) + _block(1_940, 12.0), config, diagnostics=diag_hiccup)
     assert any(d["sigma_hat"] > 0.0 for d in diag_hiccup)
+
+
+def _expected_windows(times: list[int], gap_ms: float, window: int = 32):
+    """(start, end) of every window when each gap longer than gap_ms restarts one."""
+    runs, run = [], []
+    for t in times:
+        if run and t - run[-1] > gap_ms:
+            runs.append(run)
+            run = []
+        run.append(t)
+    runs.append(run)
+    return [
+        (r[k], r[k + window - 1]) for r in runs for k in range(0, len(r) - window + 1, window)
+    ]
+
+
+def _check_gap_windowing(rows, config):
+    times = [v.t_ms for kind, v in rows if kind == "A"]
+    diag: list = []
+    report = analyze_trip_stream(rows, config, diagnostics=diag)
+    spans = [(d["t_start_ms"], d["t_end_ms"]) for d in diag]
+    gap_ms = config.signal.reseed_gap_periods * config.signal.period_ms
+    gaps = [(a, b) for a, b in zip(times, times[1:]) if b - a > gap_ms]
+    assert not any(start <= a and b <= end for start, end in spans for a, b in gaps)
+    assert spans == _expected_windows(times, gap_ms)
+    assert report.stats.segments * 32 + report.stats.dropped_samples == len(times)
+    return spans
+
+
+def test_sensor_gap_restarts_the_window(config):
+    # Cut one second of samples out of six_bumps: no window may bridge it.
+    scenario = Path(__file__).resolve().parent.parent / "scenarios" / "six_bumps.yaml"
+    csv_text, _ = generate_trip(load_scenario(scenario))
+    rows = [
+        (kind, v) for kind, v in TripReader(io.StringIO(csv_text))
+        if not (kind == "A" and 30_000 <= v.t_ms < 31_000)
+    ]
+    spans = _check_gap_windowing(rows, config)
+    assert (29_440, 31_060) not in spans
+    assert any(start == 31_000 for start, _ in spans)
+
+
+# (samples in the run, step in ms from the previous run's last sample); steps
+# of 60 ms or less are within the 3-period reseed limit, longer ones are gaps.
+_RUNS = st.lists(
+    st.tuples(st.integers(0, 100), st.sampled_from([0, 20, 40, 60, 61, 80, 1_000, 12_000])),
+    max_size=8,
+)
+
+
+@given(runs=_RUNS)
+def test_no_window_spans_a_sensor_gap(config, runs):
+    rows, t = [], 0
+    for count, step in runs:
+        for i in range(count):
+            t += step if i == 0 else 20
+            rows.append(("A", AccelSample(t, 0.0, 0.1 * (i % 3), 9.8)))
+    _check_gap_windowing(rows, config)
 
 
 def test_parse_stats_carry_into_report(config, tmp_path):

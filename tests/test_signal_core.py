@@ -38,16 +38,12 @@ def test_resultant_rotation_invariant():
         assert a == pytest.approx(b, rel=1e-9)
 
 
-def test_resultant_rejects_non_finite():
-    with pytest.raises(InvalidSampleError):
-        gravity_magnitude((math.nan, 0.0, 0.0))
-    with pytest.raises(InvalidSampleError):
-        gravity_magnitude((0.0, math.inf, 0.0))
-
-
 def test_accel_sample_rejects_non_finite():
-    with pytest.raises(InvalidSampleError):
-        AccelSample(0, 1.0, math.nan, 2.0)
+    # The only finite check a sample meets: the filter and magnitude trust it.
+    for bad in (math.nan, math.inf, -math.inf):
+        for axes in ((bad, 0.0, 9.8), (0.0, bad, 9.8), (0.0, 0.0, bad)):
+            with pytest.raises(InvalidSampleError):
+                AccelSample(0, *axes)
 
 
 def _pairs(n: int) -> list[tuple[int, float]]:
@@ -87,6 +83,18 @@ def test_segment_time_span():
     assert (segs[0].t_start_ms, segs[0].t_end_ms) == (0, 620)
     assert (segs[1].t_start_ms, segs[1].t_end_ms) == (640, 1260)
     assert all(s.t_start_ms < s.t_end_ms for s in segs)
+
+
+def test_restart_discards_partial_window():
+    buf = SegmentBuffer(window=32)
+    for t, v in _pairs(40):
+        buf.push(t, v)
+    buf.restart()
+    assert buf.dropped == 8
+    segs = [s for t, v in _pairs(70) if (s := buf.push(10_000 + t, v)) is not None]
+    assert [s.index for s in segs] == [1, 2]
+    assert segs[0].t_start_ms == 10_000
+    assert buf.dropped == 8 + 6
 
 
 def test_segment_buffer_validation():

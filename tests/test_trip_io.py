@@ -66,6 +66,18 @@ def test_malformed_rows_counted_not_fatal():
     assert reader.stats.malformed_rows == 2
 
 
+def test_non_finite_accel_row_is_malformed():
+    # AccelSample is the one finite check; nothing downstream checks again.
+    rows = ["A,%d,0,0,9.8" % (20 * i) for i in range(400)]
+    rows[10] = "A,200,nan,0,9.8"
+    rows[20] = "A,400,0,inf,9.8"
+    rows[30] = "A,600,0,0,-inf"
+    reader = TripReader(io.StringIO(_trip_text(rows)))
+    samples = [v for k, v in reader if k == "A"]
+    assert len(samples) == 397
+    assert reader.stats.malformed_rows == 3
+
+
 def test_unknown_row_type_is_malformed():
     rows = ["X,0,1,2,3"] + ["A,%d,0,0,9.8" % (20 * i) for i in range(150)]
     reader = TripReader(io.StringIO(_trip_text(rows)))
