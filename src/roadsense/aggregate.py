@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .config import SCHEMA_VERSION
 from .errors import TripFormatError
 from .events import RoadEvent, TripReport
-from .geo import EARTH_RADIUS_M, haversine_m
+from .geo import haversine_m
 
 
 @dataclass
@@ -39,11 +39,7 @@ class HazardCluster:
         self.lon = sum(e.lon for e in self.events) / len(self.events)
 
 
-def cluster_events(
-    reports: list[TripReport],
-    radius_m: float = 15.0,
-    earth_radius_m: float = EARTH_RADIUS_M,
-) -> list[HazardCluster]:
+def cluster_events(reports: list[TripReport], radius_m: float = 15.0) -> list[HazardCluster]:
     """Greedy same-kind clustering of every located event in the reports.
 
     Unlocated events (GPS gap at the wrong moment) cannot support a map
@@ -65,7 +61,7 @@ def cluster_events(
             for cl in clusters:
                 if cl.kind != ev.kind:
                     continue
-                d = haversine_m(cl.lat, cl.lon, ev.lat, ev.lon, earth_radius_m)
+                d = haversine_m(cl.lat, cl.lon, ev.lat, ev.lon)
                 if d <= radius_m and (best_dist is None or d < best_dist):
                     best, best_dist = cl, d
             if best is None:

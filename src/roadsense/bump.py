@@ -42,7 +42,7 @@ class LipschitzEstimate:
 _INVALID = LipschitzEstimate(beta_hat=math.nan, p1=math.nan, p2=math.nan, loc=-1, valid=False)
 
 
-def lipschitz_algorithm1(coeffs: WaveletCoeffs, plateau: str = "strict") -> LipschitzEstimate:
+def lipschitz_algorithm1(coeffs: WaveletCoeffs) -> LipschitzEstimate:
     """Estimate the singularity exponent of one analysis window.
 
     Peak positions are compared on a normalized (0, 1] axis: the 1-based
@@ -50,8 +50,8 @@ def lipschitz_algorithm1(coeffs: WaveletCoeffs, plateau: str = "strict") -> Lips
     nearest scale-2 peak resolve to the earlier index.
     """
     d1, d2 = coeffs.details[0], coeffs.details[1]
-    pks1, locs1 = find_peaks(np.abs(d1), plateau)
-    pks2, locs2 = find_peaks(np.abs(d2), plateau)
+    pks1, locs1 = find_peaks(np.abs(d1))
+    pks2, locs2 = find_peaks(np.abs(d2))
     if pks1.size == 0 or pks2.size == 0:
         return _INVALID
     i1 = int(np.argmax(pks1))
@@ -68,11 +68,11 @@ def lipschitz_algorithm1(coeffs: WaveletCoeffs, plateau: str = "strict") -> Lips
     return LipschitzEstimate(beta_hat=beta, p1=p1, p2=p2, loc=2 * int(locs1[i1]), valid=True)
 
 
-def lipschitz_diagnostics(coeffs: WaveletCoeffs, plateau: str = "strict") -> dict:
+def lipschitz_diagnostics(coeffs: WaveletCoeffs) -> dict:
     """Per-window peak sets (scales 1..3) as ``peaks1``..``peaks3``."""
     out: dict = {}
     for j in (1, 2, 3):
-        pks, locs = find_peaks(np.abs(coeffs.details[j - 1]), plateau)
+        pks, locs = find_peaks(np.abs(coeffs.details[j - 1]))
         out[f"peaks{j}"] = [[int(i), float(v)] for i, v in zip(locs, pks)]
     return out
 

@@ -71,18 +71,22 @@ def _config_path(flag_value: str | None) -> str | None:
     return flag_value if flag_value is not None else os.environ.get(ENV_CONFIG)
 
 
+def _write_diagnostic(entry: dict) -> None:
+    sys.stderr.write(json.dumps(entry, sort_keys=True) + "\n")
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from .trip_io import write_report
 
     config = load_config(_config_path(args.config))
     trip_id = args.trip_id if args.trip_id is not None else Path(args.trip).stem
-    diagnostics: list | None = [] if args.diagnostics else None
     report = analyze_trip_file(
-        args.trip, config, trip_id=trip_id, device_id=args.device_id, diagnostics=diagnostics
+        args.trip,
+        config,
+        trip_id=trip_id,
+        device_id=args.device_id,
+        diagnostics=_write_diagnostic if args.diagnostics else None,
     )
-    if diagnostics is not None:
-        for entry in diagnostics:
-            sys.stderr.write(json.dumps(entry, sort_keys=True) + "\n")
     _write(args.out, write_report(report))
     return 0
 
@@ -96,7 +100,7 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
     reports = []
     for path in args.reports:
         reports.append(parse_report(Path(path).read_text("utf-8")))
-    clusters = cluster_events(reports, config.aggregate.cluster_radius_m, config.gps.earth_radius_m)
+    clusters = cluster_events(reports, config.aggregate.cluster_radius_m)
     kept, dropped = prune_isolated(clusters, config.aggregate.min_trips)
     _write(args.out, write_map(kept, dropped))
     return 0

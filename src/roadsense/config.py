@@ -29,11 +29,6 @@ class SignalConfig:
 
 
 @dataclass(frozen=True)
-class GravityConfig:
-    alpha: float
-
-
-@dataclass(frozen=True)
 class RoughnessConfig:
     alpha_schedule: tuple[float, ...]
     forgetting: float
@@ -49,13 +44,11 @@ class BumpConfig:
     min_speed_mps: float
     allow_unknown_speed: bool
     merge_window_ms: int
-    peak_plateau_policy: str
 
 
 @dataclass(frozen=True)
 class GpsConfig:
     max_gap_ms: int
-    earth_radius_m: float
 
 
 @dataclass(frozen=True)
@@ -68,7 +61,6 @@ class AggregateConfig:
 class PipelineConfig:
     schema_version: int
     signal: SignalConfig
-    gravity: GravityConfig
     roughness: RoughnessConfig
     bump: BumpConfig
     gps: GpsConfig
@@ -107,7 +99,6 @@ def _validate(cfg: PipelineConfig) -> None:
     n = sig.segment_len
     _require(n >= 8 and (n & (n - 1)) == 0, "segment_len must be a power of two >= 8")
     _require(sig.reseed_gap_periods > 0, "reseed_gap_periods must be positive")
-    _require(0.0 < cfg.gravity.alpha < 1.0, "gravity.alpha must be in (0, 1)")
     for a in rough.alpha_schedule:
         _require(0.0 < a < 1.0, "alpha_schedule entries must be in (0, 1)")
     _require(
@@ -123,19 +114,13 @@ def _validate(cfg: PipelineConfig) -> None:
         and list(rough.cost_thresholds) == sorted(set(rough.cost_thresholds)),
         "cost_thresholds must be positive and strictly increasing",
     )
-    _require(cfg.gravity.alpha in rough.alpha_schedule, "gravity.alpha must appear in alpha_schedule")
     _require(0.0 < rough.forgetting <= 1.0, "forgetting must be in (0, 1]")
     _require(rough.history_len >= 1, "history_len must be at least 1")
     _require(rough.sigma_normalization > 0, "sigma_normalization must be positive")
     _require(rough.hold_off_segments >= 1, "hold_off_segments must be at least 1")
     _require(cfg.bump.min_speed_mps >= 0, "min_speed_mps must be non-negative")
     _require(cfg.bump.merge_window_ms >= 0, "merge_window_ms must be non-negative")
-    _require(
-        cfg.bump.peak_plateau_policy in ("strict", "left"),
-        "peak_plateau_policy must be 'strict' or 'left'",
-    )
     _require(cfg.gps.max_gap_ms > 0, "max_gap_ms must be positive")
-    _require(cfg.gps.earth_radius_m > 0, "earth_radius_m must be positive")
     _require(cfg.aggregate.cluster_radius_m > 0, "cluster_radius_m must be positive")
     _require(cfg.aggregate.min_trips >= 1, "min_trips must be at least 1")
 
@@ -164,7 +149,6 @@ def _build(raw: dict) -> PipelineConfig:
             segment_len=get("signal.segment_len", int),
             reseed_gap_periods=get("signal.reseed_gap_periods", float),
         ),
-        gravity=GravityConfig(alpha=get("gravity.alpha", float)),
         roughness=RoughnessConfig(
             alpha_schedule=floats("roughness.alpha_schedule"),
             forgetting=get("roughness.forgetting", float),
@@ -178,12 +162,8 @@ def _build(raw: dict) -> PipelineConfig:
             min_speed_mps=get("bump.min_speed_mps", float),
             allow_unknown_speed=get("bump.allow_unknown_speed", bool),
             merge_window_ms=get("bump.merge_window_ms", int),
-            peak_plateau_policy=get("bump.peak_plateau_policy", str),
         ),
-        gps=GpsConfig(
-            max_gap_ms=get("gps.max_gap_ms", int),
-            earth_radius_m=get("gps.earth_radius_m", float),
-        ),
+        gps=GpsConfig(max_gap_ms=get("gps.max_gap_ms", int)),
         aggregate=AggregateConfig(
             cluster_radius_m=get("aggregate.cluster_radius_m", float),
             min_trips=get("aggregate.min_trips", int),

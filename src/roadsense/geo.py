@@ -55,7 +55,7 @@ def interpolate_position(fixes: list[GpsFix], t_ms: int) -> tuple[float, float]:
     return lo.lat + w * (hi.lat - lo.lat), lo.lon + w * (hi.lon - lo.lon)
 
 
-def speed_at(fixes: list[GpsFix], t_ms: int, radius_m: float = EARTH_RADIUS_M) -> float:
+def speed_at(fixes: list[GpsFix], t_ms: int) -> float:
     """Ground speed in m/s from the fix pair bracketing t (clamped at the ends)."""
     if len(fixes) < 2:
         raise NoSpeedError("need at least two GPS fixes for speed")
@@ -63,7 +63,7 @@ def speed_at(fixes: list[GpsFix], t_ms: int, radius_m: float = EARTH_RADIUS_M) -
     dt_s = (hi.t_ms - lo.t_ms) / 1000.0
     if dt_s <= 0.0:
         return 0.0
-    return haversine_m(lo.lat, lo.lon, hi.lat, hi.lon, radius_m) / dt_s
+    return haversine_m(lo.lat, lo.lon, hi.lat, hi.lon) / dt_s
 
 
 def gap_count(fixes: list[GpsFix], max_gap_ms: int) -> int:

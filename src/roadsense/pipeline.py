@@ -12,7 +12,7 @@ materialized.
 """
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .bump import (
     LipschitzEstimate,
@@ -55,21 +55,22 @@ def analyze_trip_stream(
     config: PipelineConfig,
     trip_id: str = "",
     device_id: str = "",
-    diagnostics: list | None = None,
+    diagnostics: Callable[[dict], None] | None = None,
 ) -> TripReport:
     """Analyze an interleaved, time-ordered sensor row stream into a report.
 
     ``rows`` yields ("A", AccelSample) and ("G", GpsFix) pairs, e.g. from a
     :class:`~roadsense.trip_io.TripReader`. When the iterable exposes reader
-    parse stats, malformed-row counts carry into the report.
+    parse stats, malformed-row counts carry into the report. ``diagnostics``,
+    when given, receives one dict per window as soon as the window is scored.
     """
-    sig, rough_cfg, bump_cfg = config.signal, config.roughness, config.bump
-    fstate = make_filter(config.gravity.alpha)
+    sig, rough_cfg = config.signal, config.roughness
+    fstate = make_filter(rough_cfg.alpha_schedule[0])
     segbuf = SegmentBuffer(sig.segment_len)
     rstate = RoughnessState(
         forgetting=rough_cfg.forgetting,
         history_len=rough_cfg.history_len,
-        alpha=config.gravity.alpha,
+        alpha=rough_cfg.alpha_schedule[0],
     )
     tracker = RoughEventTracker(hold_off=rough_cfg.hold_off_segments)
     candidates: list[tuple[LipschitzEstimate, int]] = []
@@ -104,14 +105,13 @@ def analyze_trip_stream(
             if rstate.alpha != fstate.alpha:
                 fstate = set_alpha(fstate, rstate.alpha)
             tracker.observe(seg, level)
-            est = lipschitz_algorithm1(coeffs, bump_cfg.peak_plateau_policy)
+            est = lipschitz_algorithm1(coeffs)
         except RoadSenseError as exc:
             raise type(exc)(f"segment {seg.index}: {exc}") from exc
         if est.valid:
-            t_est = seg.t_start_ms + round(est.loc * sig.period_ms)
-            candidates.append((est, t_est))
+            candidates.append((est, seg.times[est.loc]))
         if diagnostics is not None:
-            diagnostics.append(_segment_diag(seg, coeffs, rstate, level, est, bump_cfg))
+            diagnostics(_segment_diag(seg, coeffs, rstate, level, est))
 
     events = _finish(tracker, candidates, fixes, config)
     for ev in events:
@@ -141,7 +141,7 @@ def _finish(
     bumps: list[RoadEvent] = []
     for est, t_ms in candidates:
         try:
-            speed = speed_at(fixes, t_ms, gps_cfg.earth_radius_m)
+            speed = speed_at(fixes, t_ms)
         except NoSpeedError:
             speed = None
         ev = detect_bump(est, speed, t_ms, bump_cfg)
@@ -167,8 +167,8 @@ def _finish(
     return sorted(rough_events + merged, key=lambda e: (e.t_start_ms, e.kind, e.t_end_ms))
 
 
-def _segment_diag(seg, coeffs, rstate, level, est, bump_cfg) -> dict:
-    diag = lipschitz_diagnostics(coeffs, bump_cfg.peak_plateau_policy)
+def _segment_diag(seg, coeffs, rstate, level, est) -> dict:
+    diag = lipschitz_diagnostics(coeffs)
     return {
         "segment": seg.index,
         "t_start_ms": seg.t_start_ms,
@@ -193,7 +193,7 @@ def analyze_trip_file(
     config: PipelineConfig,
     trip_id: str = "",
     device_id: str = "",
-    diagnostics: list | None = None,
+    diagnostics: Callable[[dict], None] | None = None,
 ) -> TripReport:
     """Stream a trip CSV from disk through the pipeline."""
     with open(path, encoding="utf-8") as fh:

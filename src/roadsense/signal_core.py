@@ -31,12 +31,19 @@ class AccelSample:
 
 @dataclass
 class Segment:
-    """A fixed-length window of magnitude values with its time span."""
+    """A fixed-length window of magnitude values and their sample times."""
 
     index: int
-    t_start_ms: int
-    t_end_ms: int
+    times: list[int]
     values: np.ndarray
+
+    @property
+    def t_start_ms(self) -> int:
+        return self.times[0]
+
+    @property
+    def t_end_ms(self) -> int:
+        return self.times[-1]
 
 
 class SegmentBuffer:
@@ -61,14 +68,9 @@ class SegmentBuffer:
         self._vals.append(value)
         if len(self._vals) < self.window:
             return None
-        seg = Segment(
-            index=self.count,
-            t_start_ms=self._ts[0],
-            t_end_ms=self._ts[-1],
-            values=np.array(self._vals, dtype=float),
-        )
+        seg = Segment(index=self.count, times=self._ts, values=np.array(self._vals, dtype=float))
         self.count += 1
-        self._ts.clear()
+        self._ts = []
         self._vals.clear()
         return seg
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 
 _INV_SQRT2 = 2.0 ** -0.5
 
@@ -57,34 +57,13 @@ def dwt(values: np.ndarray) -> WaveletCoeffs:
     return WaveletCoeffs(approx=float(smooth[0]), details=tuple(details))
 
 
-def find_peaks(series: np.ndarray, plateau: str = "strict") -> tuple[np.ndarray, np.ndarray]:
-    """Local maxima of a series; endpoints are never peaks.
+def find_peaks(series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Strict local maxima of a series: (values, indices).
 
-    ``strict`` requires a sample greater than both neighbours, so flat tops
-    and monotone runs yield nothing. ``left`` additionally accepts the
-    leftmost sample of a flat top whose shoulders are both lower.
-    Returns (values, indices).
+    A peak is greater than both neighbours, so endpoints, flat tops and
+    monotone runs yield nothing.
     """
     s = np.asarray(series, dtype=float)
-    n = s.size
-    locs: list[int] = []
-    if plateau == "strict":
-        for i in range(1, n - 1):
-            if s[i] > s[i - 1] and s[i] > s[i + 1]:
-                locs.append(i)
-    elif plateau == "left":
-        i = 1
-        while i < n - 1:
-            if s[i] > s[i - 1]:
-                right = i
-                while right + 1 < n and s[right + 1] == s[i]:
-                    right += 1
-                if right < n - 1 and s[right + 1] < s[i]:
-                    locs.append(i)
-                i = right + 1
-            else:
-                i += 1
-    else:
-        raise ConfigError(f"unknown plateau policy: {plateau}")
+    locs = [i for i in range(1, s.size - 1) if s[i - 1] < s[i] > s[i + 1]]
     idx = np.array(locs, dtype=int)
     return s[idx], idx

@@ -59,14 +59,14 @@ def test_criterion_01_filter_correctness():
     for _ in range(10_000):
         alpha = float(rng.uniform(0.01, 0.99))
         state = make_filter(alpha)
-        xs = rng.uniform(-20.0, 20.0, (20, 3))
-        lo = np.full(3, np.inf)
-        hi = np.full(3, -np.inf)
+        xs = rng.uniform(-20.0, 20.0, (20, 3)).tolist()
+        lo = [math.inf] * 3
+        hi = [-math.inf] * 3
         for x in xs:
-            lo = np.minimum(lo, x)
-            hi = np.maximum(hi, x)
-            state, g = filter_step(state, float(x[0]), float(x[1]), float(x[2]))
-            assert np.all(lo <= np.asarray(g)) and np.all(np.asarray(g) <= hi)
+            lo = [min(a, b) for a, b in zip(lo, x)]
+            hi = [max(a, b) for a, b in zip(hi, x)]
+            state, g = filter_step(state, x[0], x[1], x[2])
+            assert all(a <= v <= b for a, v, b in zip(lo, g, hi))
 
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
@@ -277,9 +277,7 @@ def test_criterion_09_aggregation(config):
         )
         reports.append(analyze_scenario(scn, config, trip_id=f"trip{i}"))
 
-    clusters = cluster_events(
-        reports, config.aggregate.cluster_radius_m, config.gps.earth_radius_m
-    )
+    clusters = cluster_events(reports, config.aggregate.cluster_radius_m)
     kept, dropped = prune_isolated(clusters, min_trips=2)
     assert len(kept) == 2
     assert all(c.supporting_trips == 3 for c in kept)

@@ -28,7 +28,6 @@ CFG = BumpConfig(
     min_speed_mps=1.5,
     allow_unknown_speed=True,
     merge_window_ms=1000,
-    peak_plateau_policy="strict",
 )
 
 

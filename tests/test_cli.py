@@ -68,6 +68,18 @@ def test_analyze_diagnostics_jsonl(tmp_path, capsys):
     assert entry["segment"] == 0 and "beta_hat" in entry
 
 
+def test_analyze_diagnostics_stream_before_a_failure(tmp_path, capsys):
+    # Time goes backwards after three whole windows: those three windows'
+    # lines are already out when the trip fails.
+    rows = ["A,%d,0,0,9.8" % (20 * i) for i in range(100)] + ["A,0,0,0,9.8"]
+    bad = tmp_path / "backwards.csv"
+    bad.write_text("type,t_ms,a,b,c\n" + "\n".join(rows) + "\n")
+    assert main(["analyze", str(bad), "--diagnostics"]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert [json.loads(ln)["segment"] for ln in lines[:-1]] == [0, 1, 2]
+    assert lines[-1].startswith("error: ")
+
+
 def test_config_env_var_and_flag_precedence(tmp_path, monkeypatch, capsys):
     trip = _trip_file(tmp_path)
     broken = tmp_path / "broken.yaml"

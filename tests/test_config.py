@@ -17,7 +17,6 @@ def test_defaults(config):
     assert config.signal.sample_rate_hz == 50.0
     assert config.signal.segment_len == 32
     assert config.signal.period_ms == 20.0
-    assert config.gravity.alpha == 0.992
     assert config.roughness.alpha_schedule == (0.992, 0.995, 0.996, 0.998)
     assert config.roughness.cost_thresholds == (0.007, 0.008, 0.01)
     assert config.roughness.history_len == 8
@@ -49,7 +48,16 @@ def test_unknown_key_rejected(tmp_path):
     with pytest.raises(ConfigError, match="unknown config key"):
         load_config(_write(tmp_path, "bumps: {}\n"))
     # Keys this package once had are unknown too, not silently ignored.
-    for removed in ("signal:\n  segment_overlap: 0.0\n", "bump:\n  z_threshold_mps2: 16.0\n"):
+    removed_keys = (
+        "signal:\n  segment_overlap: 0.0\n",
+        "bump:\n  z_threshold_mps2: 16.0\n",
+        # The filter starts at alpha_schedule[0], peaks are always strict and
+        # the earth radius is geo.EARTH_RADIUS_M, whatever these would say.
+        "gravity:\n  alpha: 0.992\n",
+        "bump:\n  peak_plateau_policy: strict\n",
+        "gps:\n  earth_radius_m: 6371000.0\n",
+    )
+    for removed in removed_keys:
         with pytest.raises(ConfigError, match="unknown config key"):
             load_config(_write(tmp_path, removed))
 
@@ -72,9 +80,9 @@ def test_invalid_yaml(tmp_path):
 @pytest.mark.parametrize(
     "override",
     [
+        # Removed keys stay rejected whatever their value.
         "gravity:\n  alpha: 1.2\n",
         "gravity:\n  alpha: 0.0\n",
-        # 0.994 is a fine smoothing factor but not one the controller can pick.
         "gravity:\n  alpha: 0.994\n",
         "roughness:\n  alpha_schedule: [0.992, 0.998, 0.996, 0.995]\n",
         "roughness:\n  alpha_schedule: [0.992, 0.995]\n",

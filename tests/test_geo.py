@@ -96,30 +96,30 @@ def test_interpolate_continuity():
 def test_speed_between_known_fixes():
     # 111.19 m covered in 10 s reads back as about 11.12 m/s.
     fixes = [_fix(0, 45.0, 7.0), _fix(10_000, 45.001, 7.0)]
-    assert speed_at(fixes, 5_000, EARTH_R) == pytest.approx(11.12, abs=0.01)
+    assert speed_at(fixes, 5_000) == pytest.approx(11.12, abs=0.01)
 
 
 def test_speed_stationary():
     fixes = [_fix(0, 45.0, 7.0), _fix(10_000, 45.0, 7.0)]
-    assert speed_at(fixes, 5_000, EARTH_R) == 0.0
+    assert speed_at(fixes, 5_000) == 0.0
 
 
 def test_speed_needs_two_fixes():
     with pytest.raises(NoSpeedError):
-        speed_at([_fix(0, 45.0, 7.0)], 0, EARTH_R)
+        speed_at([_fix(0, 45.0, 7.0)], 0)
     with pytest.raises(NoSpeedError):
-        speed_at([], 0, EARTH_R)
+        speed_at([], 0)
 
 
 def test_speed_duplicate_timestamps():
     fixes = [_fix(1_000, 45.0, 7.0), _fix(1_000, 45.001, 7.0)]
-    assert speed_at(fixes, 1_000, EARTH_R) == 0.0
+    assert speed_at(fixes, 1_000) == 0.0
 
 
 def test_speed_never_negative():
     fixes = [_fix(0, 45.0, 7.0), _fix(5_000, 44.999, 6.999), _fix(9_000, 45.0, 7.0)]
     for t in (0, 2_500, 6_000, 9_000):
-        assert speed_at(fixes, t, EARTH_R) >= 0.0
+        assert speed_at(fixes, t) >= 0.0
 
 
 def test_gap_count():
@@ -220,4 +220,4 @@ def test_lookups_match_linear_scan_reference(track, data):
         assert interpolate_position(track, t) == _scan_position(track, t)
         assert locate_event(track, t, max_gap_ms) == _scan_locate(track, t, max_gap_ms)
         if len(track) > 1:
-            assert speed_at(track, t, EARTH_R) == _scan_speed(track, t)
+            assert speed_at(track, t) == _scan_speed(track, t)

@@ -58,12 +58,13 @@ def test_long_gap_reseeds_gravity_filter(config):
     # tail. A 40 ms hiccup (two periods) must not reseed: the tail shows up.
     diag: list = []
     rows = _block(0, 9.8) + _block(12_000, 12.0)
-    report = analyze_trip_stream(rows, config, diagnostics=diag)
+    report = analyze_trip_stream(rows, config, diagnostics=diag.append)
     assert report.events == []
     assert all(d["sigma_hat"] == 0.0 for d in diag)
 
     diag_hiccup: list = []
-    analyze_trip_stream(_block(0, 9.8) + _block(1_940, 12.0), config, diagnostics=diag_hiccup)
+    rows = _block(0, 9.8) + _block(1_940, 12.0)
+    analyze_trip_stream(rows, config, diagnostics=diag_hiccup.append)
     assert any(d["sigma_hat"] > 0.0 for d in diag_hiccup)
 
 
@@ -84,7 +85,7 @@ def _expected_windows(times: list[int], gap_ms: float, window: int = 32):
 def _check_gap_windowing(rows, config):
     times = [v.t_ms for kind, v in rows if kind == "A"]
     diag: list = []
-    report = analyze_trip_stream(rows, config, diagnostics=diag)
+    report = analyze_trip_stream(rows, config, diagnostics=diag.append)
     spans = [(d["t_start_ms"], d["t_end_ms"]) for d in diag]
     gap_ms = config.signal.reseed_gap_periods * config.signal.period_ms
     gaps = [(a, b) for a, b in zip(times, times[1:]) if b - a > gap_ms]
@@ -125,6 +126,29 @@ def test_no_window_spans_a_sensor_gap(config, runs):
     _check_gap_windowing(rows, config)
 
 
+def test_bump_time_is_its_own_sample_timestamp(config):
+    # From 9700 ms on every sample arrives 40 ms late, a hiccup below the
+    # reseed gap, so the window holding the bump starts on time but the bump
+    # sample itself is late. The bump must move with its sample.
+    scn = Scenario(
+        name="late",
+        duration_s=20.0,
+        bumps=(BumpSpec(t_s=10.0, height_g=1.5, width_samples=6),),
+        speed_profile=(SpeedPoint(0.0, 5.0),),
+    )
+    csv_text, _ = generate_trip(scn)
+    rows = list(TripReader(io.StringIO(csv_text)))
+    shifted = [
+        (kind, AccelSample(v.t_ms + 40, v.ax, v.ay, v.az) if kind == "A" and v.t_ms >= 9_700 else v)
+        for kind, v in rows
+    ]
+    [on_time] = [e.t_start_ms for e in analyze_trip_stream(rows, config).events]
+    [late] = [e.t_start_ms for e in analyze_trip_stream(shifted, config).events]
+    assert on_time == 10_040
+    assert late == on_time + 40
+    assert late in {v.t_ms for kind, v in shifted if kind == "A"}
+
+
 def test_parse_stats_carry_into_report(config, tmp_path):
     rows = ["A,%d,0,0,9.8" % (20 * i) for i in range(300)]
     rows[7] = "A,nan-ish,0,0,9.8"
@@ -139,7 +163,7 @@ def test_parse_stats_carry_into_report(config, tmp_path):
 def test_diagnostics_one_entry_per_segment(config):
     diag: list = []
     csv_text, _ = generate_trip(Scenario(name="d", duration_s=30.0, noise_sigma_g=0.01))
-    analyze_trip_stream(TripReader(io.StringIO(csv_text)), config, diagnostics=diag)
+    analyze_trip_stream(TripReader(io.StringIO(csv_text)), config, diagnostics=diag.append)
     assert len(diag) == 46
     assert [d["segment"] for d in diag] == list(range(46))
     expected = {

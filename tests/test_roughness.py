@@ -142,7 +142,7 @@ def test_classify_normalizes_sigma_before_costing():
 
 
 def _segment(i: int) -> Segment:
-    return Segment(index=i, t_start_ms=640 * i, t_end_ms=640 * i + 620, values=np.zeros(32))
+    return Segment(index=i, times=list(range(640 * i, 640 * i + 640, 20)), values=np.zeros(32))
 
 
 def test_tracker_opens_and_closes_with_hold_off():

@@ -5,9 +5,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from roadsense.errors import ShapeError
-from roadsense.oracles import oracle_dwt
+from roadsense.oracles import _findpeaks_1based, oracle_dwt
 from roadsense.wavelet import dwt, find_peaks
 
 
@@ -146,13 +148,23 @@ def test_find_peaks_endpoints_excluded():
 
 
 def test_find_peaks_plateau_policies():
-    series = np.array([0.0, 5.0, 5.0, 0.0])
-    assert find_peaks(series, "strict")[0].size == 0
-    pks, locs = find_peaks(series, "left")
-    assert list(pks) == [5.0]
-    assert list(locs) == [1]
-    # A plateau running into the boundary has no right shoulder.
-    assert find_peaks(np.array([0.0, 5.0, 5.0]), "left")[0].size == 0
+    # A flat top is not a peak, with or without shoulders.
+    assert find_peaks(np.array([0.0, 5.0, 5.0, 0.0]))[0].size == 0
+    assert find_peaks(np.array([0.0, 5.0, 5.0]))[0].size == 0
+
+
+# A few small integers give ties and flat runs; the floats give the rest.
+_SERIES = st.lists(
+    st.one_of(st.integers(0, 3).map(float), st.floats(-5.0, 5.0)), max_size=40
+)
+
+
+@given(series=_SERIES)
+def test_find_peaks_matches_oracle(series):
+    pks, locs = find_peaks(np.array(series))
+    oracle_pks, oracle_locs = _findpeaks_1based(series)
+    assert pks.tolist() == oracle_pks
+    assert locs.tolist() == [loc - 1 for loc in oracle_locs]
 
 
 def test_find_peaks_short_series():
