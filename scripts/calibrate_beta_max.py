@@ -27,25 +27,32 @@ import argparse
 
 import numpy as np
 
-from roadsense import dwt, filter_step, gravity_magnitude, lipschitz_algorithm1, make_filter
+from roadsense import (
+    dwt,
+    filter_step,
+    gravity_magnitude,
+    lipschitz_algorithm1,
+    load_config,
+    make_filter,
+)
 
 GRAVITY = 9.8
-WINDOW = 32
 WARMUP = 64
 
 BUMP_HEIGHTS_G = np.arange(0.6, 2.41, 0.2)
 BUMP_WIDTHS = (4, 6, 8)
 DEVICE_GAINS = (0.5, 0.6, 0.75, 1.0, 1.5, 2.0)
-FILTER_ALPHAS = (0.992, 0.998)
 OFFSETS = (8, 12, 16, 20)
 
 ARTIFACT_AMPS_G = np.arange(4.0, 30.1, 2.0)
 ARTIFACT_WIDTHS = (4, 6, 8, 10)
 
 
-def window_beta(pulse_ms2: float, width: int, offset: int, alpha: float) -> float | None:
+def window_beta(
+    pulse_ms2: float, width: int, offset: int, alpha: float, window: int
+) -> float | None:
     """Exponent of one settled analysis window containing a vertical pulse."""
-    raw = np.full(WARMUP + WINDOW, GRAVITY)
+    raw = np.full(WARMUP + window, GRAVITY)
     k = np.arange(1, width + 1)
     raw[WARMUP + offset : WARMUP + offset + width] += pulse_ms2 * np.sin(np.pi * k / (width + 1)) ** 2
     state = make_filter(alpha)
@@ -57,16 +64,16 @@ def window_beta(pulse_ms2: float, width: int, offset: int, alpha: float) -> floa
     return est.beta_hat if est.valid else None
 
 
-def collect(amps_ms2, widths, gains, alphas) -> np.ndarray:
+def collect(amps_ms2, widths, gains, alphas, window: int) -> np.ndarray:
     betas = []
     for amp in amps_ms2:
         for width in widths:
             for gain in gains:
                 for alpha in alphas:
                     for offset in OFFSETS:
-                        if offset + width > WINDOW - 2:
+                        if offset + width > window - 2:
                             continue
-                        b = window_beta(amp * gain, width, offset, alpha)
+                        b = window_beta(amp * gain, width, offset, alpha, window)
                         if b is not None:
                             betas.append(b)
     return np.asarray(betas)
@@ -78,8 +85,12 @@ def main(argv: list[str] | None = None) -> int:
                         help="safety margin above the worst-case bump exponent")
     args = parser.parse_args(argv)
 
-    bumps = collect(BUMP_HEIGHTS_G * GRAVITY, BUMP_WIDTHS, DEVICE_GAINS, FILTER_ALPHAS)
-    artifacts = collect(ARTIFACT_AMPS_G * GRAVITY, ARTIFACT_WIDTHS, (1.0,), FILTER_ALPHAS)
+    config = load_config()
+    window = config.signal.segment_len
+    # Both extremes of the smoothing schedule.
+    alphas = (config.roughness.alpha_schedule[0], config.roughness.alpha_schedule[-1])
+    bumps = collect(BUMP_HEIGHTS_G * GRAVITY, BUMP_WIDTHS, DEVICE_GAINS, alphas, window)
+    artifacts = collect(ARTIFACT_AMPS_G * GRAVITY, ARTIFACT_WIDTHS, (1.0,), alphas, window)
 
     print(f"bump windows:     {bumps.size:4d}  beta in [{bumps.min():+.3f}, {bumps.max():+.3f}]")
     print(f"artifact windows: {artifacts.size:4d}  beta in [{artifacts.min():+.3f}, {artifacts.max():+.3f}]")
@@ -94,12 +105,13 @@ def main(argv: list[str] | None = None) -> int:
     tightest = bumps.max() + args.margin
     print(f"worst-case bump exponent: {bumps.max():+.3f}")
     print(f"tightest safe ceiling for this library (worst case + {args.margin}): {tightest:+.3f}")
-    print("shipped default +0.800 keeps extra headroom for device gains and")
+    beta_max = config.bump.beta_max
+    print(f"shipped default {beta_max:+.3f} keeps extra headroom for device gains and")
     print("pulse shapes outside the simulated grid; recall stays 1.0 either way.")
     weakest_rejected = ARTIFACT_AMPS_G[-1]
     for amp in ARTIFACT_AMPS_G:
-        b = window_beta(amp * GRAVITY, 6, 12, 0.992)
-        if b is not None and b >= 0.8:
+        b = window_beta(amp * GRAVITY, 6, 12, alphas[0], window)
+        if b is not None and b >= beta_max:
             weakest_rejected = amp
             break
     print(f"default rejects pulses from roughly {weakest_rejected:.0f} g; anything gentler")

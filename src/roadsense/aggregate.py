@@ -39,7 +39,7 @@ class HazardCluster:
         self.lon = sum(e.lon for e in self.events) / len(self.events)
 
 
-def cluster_events(reports: list[TripReport], radius_m: float = 15.0) -> list[HazardCluster]:
+def cluster_events(reports: list[TripReport], radius_m: float) -> list[HazardCluster]:
     """Greedy same-kind clustering of every located event in the reports.
 
     Unlocated events (GPS gap at the wrong moment) cannot support a map
@@ -72,7 +72,7 @@ def cluster_events(reports: list[TripReport], radius_m: float = 15.0) -> list[Ha
 
 
 def prune_isolated(
-    clusters: list[HazardCluster], min_trips: int = 2
+    clusters: list[HazardCluster], min_trips: int
 ) -> tuple[list[HazardCluster], list[HazardCluster]]:
     """Split clusters into (confirmed, discarded) by distinct-trip support."""
     kept = [c for c in clusters if c.supporting_trips >= min_trips]

@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import BumpConfig
-from .errors import DegenerateFitError, DomainError
 from .events import KIND_BUMP, RoadEvent
 from .wavelet import WaveletCoeffs, find_peaks
 
@@ -75,30 +74,6 @@ def lipschitz_diagnostics(coeffs: WaveletCoeffs) -> dict:
         pks, locs = find_peaks(np.abs(coeffs.details[j - 1]))
         out[f"peaks{j}"] = [[int(i), float(v)] for i, v in zip(locs, pks)]
     return out
-
-
-def lipschitz_lsq(moduli: list[tuple[float, float]]) -> tuple[float, float]:
-    """Least-squares fit of log2(a) = log2(A) + beta * log2(j); returns (A, beta).
-
-    ``moduli`` pairs each scale j with a modulus magnitude a > 0. Serves as
-    the reference estimator the windowed algorithm is checked against.
-    """
-    if any(a <= 0.0 for _, a in moduli):
-        raise DomainError("moduli must be positive")
-    if len({j for j, _ in moduli}) < 2:
-        raise DegenerateFitError("need at least two distinct scales")
-    xs = [math.log2(j) for j, _ in moduli]
-    ys = [math.log2(a) for _, a in moduli]
-    n = float(len(xs))
-    sx, sy = sum(xs), sum(ys)
-    sxx = sum(x * x for x in xs)
-    sxy = sum(x * y for x, y in zip(xs, ys))
-    det = n * sxx - sx * sx
-    if det == 0.0:
-        raise DegenerateFitError("singular normal equations")
-    beta = (n * sxy - sx * sy) / det
-    log_a = (sy * sxx - sx * sxy) / det
-    return 2.0**log_a, beta
 
 
 def detect_bump(

@@ -26,18 +26,6 @@ class InsufficientDataError(RoadSenseError):
     """An estimator was asked for a result before seeing any data."""
 
 
-class DegenerateFitError(RoadSenseError):
-    """The least-squares system is singular (e.g. a single distinct scale)."""
-
-
-class DomainError(RoadSenseError):
-    """An input lies outside the mathematical domain (e.g. log of <= 0)."""
-
-
-class NoLocationError(RoadSenseError):
-    """No GPS fix is available to place an event."""
-
-
 class NoSpeedError(RoadSenseError):
     """Speed cannot be derived from the available GPS fixes."""
 

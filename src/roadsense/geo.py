@@ -5,7 +5,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .errors import InvalidSampleError, NoLocationError, NoSpeedError
+from .errors import InvalidSampleError, NoSpeedError
 
 EARTH_RADIUS_M = 6371000.0
 
@@ -40,21 +40,6 @@ def _bracket(fixes: list[GpsFix], t_ms: int) -> tuple[GpsFix, GpsFix]:
     return fixes[hi - 1], fixes[hi]
 
 
-def interpolate_position(fixes: list[GpsFix], t_ms: int) -> tuple[float, float]:
-    """Linear lat/lon between the bracketing fixes, clamped outside the span."""
-    if not fixes:
-        raise NoLocationError("no GPS fixes in trip")
-    if len(fixes) == 1 or t_ms <= fixes[0].t_ms:
-        return fixes[0].lat, fixes[0].lon
-    if t_ms >= fixes[-1].t_ms:
-        return fixes[-1].lat, fixes[-1].lon
-    lo, hi = _bracket(fixes, t_ms)
-    if hi.t_ms == lo.t_ms:
-        return lo.lat, lo.lon
-    w = (t_ms - lo.t_ms) / (hi.t_ms - lo.t_ms)
-    return lo.lat + w * (hi.lat - lo.lat), lo.lon + w * (hi.lon - lo.lon)
-
-
 def speed_at(fixes: list[GpsFix], t_ms: int) -> float:
     """Ground speed in m/s from the fix pair bracketing t (clamped at the ends)."""
     if len(fixes) < 2:
@@ -76,7 +61,7 @@ def gap_count(fixes: list[GpsFix], max_gap_ms: int) -> int:
 def locate_event(
     fixes: list[GpsFix], t_ms: int, max_gap_ms: int
 ) -> tuple[float, float] | None:
-    """Interpolated location for an event, or None when coverage is unusable.
+    """Linear lat/lon between the bracketing fixes, or None when coverage is unusable.
 
     Inside a fix gap longer than ``max_gap_ms`` the track tells us nothing
     about where the vehicle actually was, so the event stays unlocated.
@@ -84,8 +69,13 @@ def locate_event(
     """
     if not fixes:
         return None
-    if fixes[0].t_ms < t_ms < fixes[-1].t_ms:
-        lo, hi = _bracket(fixes, t_ms)
-        if hi.t_ms - lo.t_ms > max_gap_ms and lo.t_ms < t_ms < hi.t_ms:
-            return None
-    return interpolate_position(fixes, t_ms)
+    if t_ms <= fixes[0].t_ms:
+        return fixes[0].lat, fixes[0].lon
+    if t_ms >= fixes[-1].t_ms:
+        return fixes[-1].lat, fixes[-1].lon
+    # Strictly inside the span the bracket has lo.t_ms <= t_ms < hi.t_ms.
+    lo, hi = _bracket(fixes, t_ms)
+    if hi.t_ms - lo.t_ms > max_gap_ms and lo.t_ms < t_ms:
+        return None
+    w = (t_ms - lo.t_ms) / (hi.t_ms - lo.t_ms)
+    return lo.lat + w * (hi.lat - lo.lat), lo.lon + w * (hi.lon - lo.lon)

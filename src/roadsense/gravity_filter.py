@@ -13,8 +13,6 @@ from typing import NamedTuple
 
 from .errors import ConfigError
 
-DEFAULT_ALPHA = 0.992
-
 
 class FilterState(NamedTuple):
     alpha: float
@@ -29,7 +27,7 @@ def _check_alpha(alpha: float) -> None:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
 
 
-def make_filter(alpha: float = DEFAULT_ALPHA) -> FilterState:
+def make_filter(alpha: float) -> FilterState:
     """Fresh unseeded state; the first sample seeds it. Samples must be finite."""
     _check_alpha(alpha)
     return FilterState(alpha, 0.0, 0.0, 0.0, False)

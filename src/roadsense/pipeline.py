@@ -67,11 +67,7 @@ def analyze_trip_stream(
     sig, rough_cfg = config.signal, config.roughness
     fstate = make_filter(rough_cfg.alpha_schedule[0])
     segbuf = SegmentBuffer(sig.segment_len)
-    rstate = RoughnessState(
-        forgetting=rough_cfg.forgetting,
-        history_len=rough_cfg.history_len,
-        alpha=rough_cfg.alpha_schedule[0],
-    )
+    rstate = RoughnessState(rough_cfg)
     tracker = RoughEventTracker(hold_off=rough_cfg.hold_off_segments)
     candidates: list[tuple[LipschitzEstimate, int]] = []
     fixes: list[GpsFix] = []
@@ -95,13 +91,7 @@ def analyze_trip_stream(
 
         try:
             coeffs = dwt(seg.values)
-            rstate, level = classify_segment(
-                rstate,
-                coeffs,
-                rough_cfg.sigma_normalization,
-                rough_cfg.cost_thresholds,
-                rough_cfg.alpha_schedule,
-            )
+            level = classify_segment(rstate, coeffs)
             if rstate.alpha != fstate.alpha:
                 fstate = set_alpha(fstate, rstate.alpha)
             tracker.observe(seg, level)
@@ -168,12 +158,11 @@ def _finish(
 
 
 def _segment_diag(seg, coeffs, rstate, level, est) -> dict:
-    diag = lipschitz_diagnostics(coeffs)
     return {
         "segment": seg.index,
         "t_start_ms": seg.t_start_ms,
         "t_end_ms": seg.t_end_ms,
-        "sigma_hat": estimate_sigma(coeffs).sigma_hat,
+        "sigma_hat": estimate_sigma(coeffs),
         "j_cost": cost(rstate),
         "alpha": rstate.alpha,
         "level": level,
@@ -182,9 +171,7 @@ def _segment_diag(seg, coeffs, rstate, level, est) -> dict:
         "p1": est.p1 if est.valid else None,
         "p2": est.p2 if est.valid else None,
         "loc": est.loc if est.valid else None,
-        "peaks1": diag["peaks1"],
-        "peaks2": diag["peaks2"],
-        "peaks3": diag["peaks3"],
+        **lipschitz_diagnostics(coeffs),
     }
 
 

@@ -9,10 +9,10 @@ of the chosen factor doubles as the roughness level (0 smooth .. 3 roughest).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import RoughnessConfig
 from .errors import InsufficientDataError
 from .events import KIND_ROUGH, RoadEvent
 from .signal_core import Segment
@@ -21,43 +21,29 @@ from .wavelet import WaveletCoeffs
 # median(|x|) of zero-mean Gaussian data equals 0.6745 sigma
 MAD_GAUSS = 0.6745
 
-DEFAULT_SCHEDULE = (0.992, 0.995, 0.996, 0.998)
-DEFAULT_THRESHOLDS = (0.007, 0.008, 0.01)
 
-
-@dataclass(frozen=True)
-class NoiseEstimate:
-    sigma_hat: float
-
-
-def estimate_sigma(coeffs: WaveletCoeffs) -> NoiseEstimate:
+def estimate_sigma(coeffs: WaveletCoeffs) -> float:
     """Median-absolute-deviation noise estimate from the finest-scale details.
 
     The median makes the estimate ignore a handful of large coefficients, so
     an isolated transient does not read as sustained roughness. An
     even-length median averages the two central order statistics.
     """
-    finest = coeffs.details[0]
-    sigma = float(np.median(np.abs(finest))) / MAD_GAUSS
-    return NoiseEstimate(sigma_hat=sigma)
+    return float(np.median(np.abs(coeffs.details[0]))) / MAD_GAUSS
 
 
-@dataclass
 class RoughnessState:
     """Noise history and the currently selected smoothing factor.
 
-    ``history`` holds normalized sigma estimates, newest last. The state is
-    owned by a single trip pipeline; updates mutate it in place.
+    ``history`` holds normalized sigma estimates, newest last; ``alpha``
+    starts at the schedule's first factor. The state is owned by a single
+    trip pipeline; updates mutate it in place.
     """
 
-    forgetting: float = 0.9
-    history_len: int = 8
-    alpha: float = DEFAULT_SCHEDULE[0]
-    level: int = 0
-    history: deque = field(default_factory=deque)
-
-    def __post_init__(self) -> None:
-        self.history = deque(self.history, maxlen=self.history_len)
+    def __init__(self, cfg: RoughnessConfig) -> None:
+        self.cfg = cfg
+        self.alpha = cfg.alpha_schedule[0]
+        self.history: deque[float] = deque(maxlen=cfg.history_len)
 
 
 def cost(state: RoughnessState) -> float:
@@ -68,45 +54,31 @@ def cost(state: RoughnessState) -> float:
     weight = 1.0
     for sigma in reversed(state.history):
         total += weight * sigma
-        weight *= state.forgetting
+        weight *= state.cfg.forgetting
     return total
 
 
-def update_alpha(
-    j_cost: float,
-    history_len: int,
-    thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS,
-    schedule: tuple[float, ...] = DEFAULT_SCHEDULE,
-) -> float:
+def update_alpha(j_cost: float, cfg: RoughnessConfig) -> float:
     """Map the cost to a smoothing factor; thresholds scale with history_len.
 
     Each threshold belongs to the rougher side: J exactly at a boundary
     selects the larger alpha.
     """
-    for i in range(len(thresholds) - 1, -1, -1):
-        if j_cost >= thresholds[i] * history_len:
-            return schedule[i + 1]
-    return schedule[0]
+    for i in range(len(cfg.cost_thresholds) - 1, -1, -1):
+        if j_cost >= cfg.cost_thresholds[i] * cfg.history_len:
+            return cfg.alpha_schedule[i + 1]
+    return cfg.alpha_schedule[0]
 
 
-def classify_segment(
-    state: RoughnessState,
-    coeffs: WaveletCoeffs,
-    sigma_normalization: float = 9.8,
-    thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS,
-    schedule: tuple[float, ...] = DEFAULT_SCHEDULE,
-) -> tuple[RoughnessState, int]:
+def classify_segment(state: RoughnessState, coeffs: WaveletCoeffs) -> int:
     """Fold one window's noise estimate into the state; returns its level.
 
     The sigma estimate is divided by ``sigma_normalization`` before entering
     the cost history, putting the thresholds on a gravity-unit scale.
     """
-    est = estimate_sigma(coeffs)
-    state.history.append(est.sigma_hat / sigma_normalization)
-    j_cost = cost(state)
-    state.alpha = update_alpha(j_cost, state.history_len, thresholds, schedule)
-    state.level = schedule.index(state.alpha)
-    return state, state.level
+    state.history.append(estimate_sigma(coeffs) / state.cfg.sigma_normalization)
+    state.alpha = update_alpha(cost(state), state.cfg)
+    return state.cfg.alpha_schedule.index(state.alpha)
 
 
 class RoughEventTracker:
@@ -117,7 +89,7 @@ class RoughEventTracker:
     calm patches inside one rough stretch do not split it.
     """
 
-    def __init__(self, hold_off: int = 8) -> None:
+    def __init__(self, hold_off: int) -> None:
         self.hold_off = hold_off
         self.events: list[RoadEvent] = []
         self._open_start: int | None = None

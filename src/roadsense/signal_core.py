@@ -54,7 +54,7 @@ class SegmentBuffer:
     :meth:`restart` discards.
     """
 
-    def __init__(self, window: int = 32) -> None:
+    def __init__(self, window: int) -> None:
         if window < 2:
             raise ConfigError("window must be at least 2 samples")
         self.window = window

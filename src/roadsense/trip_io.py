@@ -16,6 +16,7 @@ identical input produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -136,11 +137,26 @@ def write_report(report: TripReport) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+def _finite(value) -> bool:
+    # A bool is an int to Python but never a number in a report.
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def _check_event(e: dict) -> None:
+    lat, lon = e["lat"], e["lon"]
+    located = _finite(lat) and _finite(lon) and abs(lat) <= 90.0 and abs(lon) <= 180.0
+    times = type(e["t_start_ms"]) is int and type(e["t_end_ms"]) is int
+    if not (times and _finite(e["intensity"]) and (located or lat is None and lon is None)):
+        raise TripFormatError(f"not a valid trip report: bad event {e!r}")
+
+
 def parse_report(text: str) -> TripReport:
     """Rebuild a TripReport from its canonical JSON text.
 
     A report whose ``schema_version`` is missing or not this package's is
-    rejected, not read as if it were.
+    rejected, not read as if it were. So is one with a non-finite number, a
+    bool or string for a number, a non-string ``trip_id``, a non-integer
+    time or count, or a coordinate out of range or null on one side only.
     """
     try:
         payload = json.loads(text)
@@ -149,6 +165,15 @@ def parse_report(text: str) -> TripReport:
                 f"unsupported report schema_version {payload['schema_version']!r}; "
                 f"expected {SCHEMA_VERSION}"
             )
+        stats = TripStats(**payload["stats"])
+        if not (
+            type(payload["trip_id"]) is str
+            and _finite(payload["sample_rate_hz"])
+            and all(type(v) is int for v in vars(stats).values())
+        ):
+            raise TripFormatError("not a valid trip report: bad trip_id, sample_rate_hz or stats")
+        for e in payload["events"]:
+            _check_event(e)
         events = [
             RoadEvent(
                 kind=e["kind"],
@@ -161,7 +186,6 @@ def parse_report(text: str) -> TripReport:
             )
             for e in payload["events"]
         ]
-        stats = TripStats(**payload["stats"])
         return TripReport(
             trip_id=payload["trip_id"],
             device_id=payload["device_id"],

@@ -36,10 +36,6 @@ class WaveletCoeffs:
     approx: float
     details: tuple[np.ndarray, ...]
 
-    @property
-    def levels(self) -> int:
-        return len(self.details)
-
 
 def dwt(values: np.ndarray) -> WaveletCoeffs:
     """Analyze one window whose length is a power of two >= 2."""

@@ -11,8 +11,8 @@ import math
 
 import numpy as np
 
-from .errors import ShapeError
-from .wavelet import WaveletCoeffs
+from roadsense.errors import ShapeError
+from roadsense.wavelet import WaveletCoeffs
 
 
 def oracle_dwt(values) -> WaveletCoeffs:

@@ -28,9 +28,9 @@ from roadsense import (
     update_alpha,
 )
 from roadsense.cli import main
-from roadsense.oracles import oracle_algorithm1, oracle_dwt
 
 from conftest import analyze_scenario, z_threshold_baseline
+from oracles import oracle_algorithm1, oracle_dwt
 
 ALPHAS = (0.992, 0.995, 0.996, 0.998)
 SEG_MS = 640  # 32 samples at 50 Hz
@@ -108,27 +108,28 @@ def test_criterion_03_mad_estimator():
     rng = np.random.default_rng(300)
     total = 0.0
     for _ in range(10_000):
-        total += estimate_sigma(dwt(rng.normal(0.0, 1.0, 32))).sigma_hat
+        total += estimate_sigma(dwt(rng.normal(0.0, 1.0, 32)))
     mean = total / 10_000
     assert 0.9 <= mean <= 1.1
 
-    assert estimate_sigma(dwt(np.full(32, 9.8))).sigma_hat == 0.0
+    assert estimate_sigma(dwt(np.full(32, 9.8))) == 0.0
 
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     print(f"criterion 3 PASS (mad estimator, MC mean {mean:.4f}, {elapsed:.2f}s)")
 
 
-def test_criterion_04_adaptive_schedule():
-    l = 8
+def test_criterion_04_adaptive_schedule(config):
+    rough = config.roughness
+    l = rough.history_len
     # One probe inside each branch, then the three boundary points exactly.
-    assert update_alpha(0.001 * l, l) == 0.992
-    assert update_alpha(0.0075 * l, l) == 0.995
-    assert update_alpha(0.009 * l, l) == 0.996
-    assert update_alpha(0.02 * l, l) == 0.998
-    assert update_alpha(0.007 * l, l) == 0.995
-    assert update_alpha(0.008 * l, l) == 0.996
-    assert update_alpha(0.01 * l, l) == 0.998
+    assert update_alpha(0.001 * l, rough) == 0.992
+    assert update_alpha(0.0075 * l, rough) == 0.995
+    assert update_alpha(0.009 * l, rough) == 0.996
+    assert update_alpha(0.02 * l, rough) == 0.998
+    assert update_alpha(0.007 * l, rough) == 0.995
+    assert update_alpha(0.008 * l, rough) == 0.996
+    assert update_alpha(0.01 * l, rough) == 0.998
     print("criterion 4 PASS (adaptive schedule branches and boundaries)")
 
 

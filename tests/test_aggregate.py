@@ -103,8 +103,11 @@ def test_report_order_does_not_matter():
         _report("t3", [_bump("t3", 48.0 + 300 * LAT_5M, 11.0)]),
         _report("t1", [_bump("t1", 48.0, 11.0)]),
     ]
-    a = write_map(*prune_isolated(cluster_events(reports, radius_m=15.0)))
-    b = write_map(*prune_isolated(cluster_events(list(reversed(reports)), radius_m=15.0)))
+    def map_of(ordered):
+        return write_map(*prune_isolated(cluster_events(ordered, radius_m=15.0), min_trips=2))
+
+    a = map_of(reports)
+    b = map_of(list(reversed(reports)))
     assert a == b
 
 
@@ -113,7 +116,7 @@ def test_map_canonical_form():
         _report("t1", [_bump("t1", 48.00000049, 11.0, beta=-2.2514)]),
         _report("t2", [_bump("t2", 48.00000049, 11.0, beta=-2.2514)]),
     ]
-    kept, dropped = prune_isolated(cluster_events(reports, radius_m=15.0))
+    kept, dropped = prune_isolated(cluster_events(reports, radius_m=15.0), min_trips=2)
     text = write_map(kept, dropped)
     assert text.endswith("\n")
     payload = json.loads(text)
@@ -130,6 +133,7 @@ def test_map_clusters_sorted():
         _report("t1", [_bump("t1", 49.0, 11.0), _bump("t1", 48.0, 11.0)]),
         _report("t2", [_bump("t2", 49.0, 11.0), _bump("t2", 48.0, 11.0)]),
     ]
-    payload = json.loads(write_map(*prune_isolated(cluster_events(reports, radius_m=15.0))))
+    kept, dropped = prune_isolated(cluster_events(reports, radius_m=15.0), min_trips=2)
+    payload = json.loads(write_map(kept, dropped))
     lats = [c["lat"] for c in payload["clusters"]]
     assert lats == sorted(lats)

@@ -11,17 +11,15 @@ from roadsense.bump import (
     detect_bump,
     lipschitz_algorithm1,
     lipschitz_diagnostics,
-    lipschitz_lsq,
     merge_events,
 )
 from roadsense.config import BumpConfig
-from roadsense.errors import DegenerateFitError, DomainError
 from roadsense.events import RoadEvent
 from roadsense.gravity_filter import filter_step, gravity_magnitude, make_filter
-from roadsense.oracles import oracle_algorithm1
 from roadsense.wavelet import WaveletCoeffs, dwt
 
 from conftest import z_threshold_baseline
+from oracles import oracle_algorithm1
 
 CFG = BumpConfig(
     beta_max=0.8,
@@ -37,39 +35,6 @@ def _bump_segment(height_g: float = 1.5, offset: int = 12, width: int = 6) -> np
     pulse = np.sin(np.pi * k / (width + 1)) ** 2
     x[offset : offset + width] += height_g * 9.8 * pulse / pulse.max()
     return x
-
-
-def test_lsq_recovers_half_slope():
-    a, beta = lipschitz_lsq([(j, j**0.5) for j in (1, 2, 4)])
-    assert beta == pytest.approx(0.5, abs=1e-9)
-    assert a == pytest.approx(1.0, abs=1e-9)
-
-
-def test_lsq_flat_fit():
-    a, beta = lipschitz_lsq([(1, 0.7), (2, 0.7), (4, 0.7)])
-    assert beta == pytest.approx(0.0, abs=1e-12)
-    assert a == pytest.approx(0.7, abs=1e-12)
-
-
-def test_lsq_random_round_trip():
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        true_a = float(np.exp(rng.uniform(-2, 2)))
-        true_beta = float(rng.uniform(-2, 2))
-        data = [(j, true_a * j**true_beta) for j in (1, 2, 4, 8)]
-        a, beta = lipschitz_lsq(data)
-        assert beta == pytest.approx(true_beta, abs=1e-9)
-        assert a == pytest.approx(true_a, rel=1e-9)
-
-
-def test_lsq_rejects_non_positive_modulus():
-    with pytest.raises(DomainError):
-        lipschitz_lsq([(1, 0.0), (2, 1.0)])
-
-
-def test_lsq_rejects_single_scale():
-    with pytest.raises(DegenerateFitError):
-        lipschitz_lsq([(2, 1.0), (2, 2.0)])
 
 
 def test_constant_segment_invalid():

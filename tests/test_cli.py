@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import math
+from pathlib import Path
 
 import pytest
 
@@ -166,3 +168,30 @@ def test_aggregate_rejects_non_report(tmp_path, capsys):
     bogus = tmp_path / "x.json"
     bogus.write_text("{}")
     assert main(["aggregate", str(bogus), "--out", str(tmp_path / "m.json")]) == 2
+
+
+@pytest.mark.parametrize(
+    "event, header",
+    [
+        pytest.param({"intensity": math.nan}, {}, id="intensity-nan"),
+        pytest.param({"lat": "1.0", "intensity": "2"}, {}, id="numbers-as-strings"),
+        pytest.param({"lat": 95.0, "lon": 400.0}, {}, id="coordinates-out-of-range"),
+        pytest.param({"intensity": True}, {}, id="intensity-bool"),
+        pytest.param({"t_start_ms": 1.5, "t_end_ms": 1.5}, {}, id="time-not-integer"),
+        pytest.param({"lat": None}, {}, id="only-lat-null"),
+        pytest.param({}, {"sample_rate_hz": math.inf}, id="rate-infinite"),
+        pytest.param({}, {"trip_id": 7}, id="trip-id-number"),
+        pytest.param({}, {"stats": {"segments": 1.5, "dropped_samples": 0,
+                                    "malformed_rows": 0, "gps_gaps": 0}}, id="count-not-integer"),
+    ],
+)
+def test_aggregate_rejects_malformed_report(tmp_path, capsys, event, header):
+    path = tmp_path / "t1.json"
+    payload = json.loads(Path(_report_file(tmp_path, "t1", 48.0)).read_text())
+    payload["events"][0].update(event)
+    payload.update(header)
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "map.json"
+    assert main(["aggregate", str(path), "--min-trips", "1", "--out", str(out)]) == 2
+    assert "not a valid trip report" in capsys.readouterr().err
+    assert not out.exists()

@@ -6,17 +6,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from roadsense.errors import InvalidSampleError, NoLocationError, NoSpeedError
+from roadsense.errors import InvalidSampleError, NoSpeedError
 from roadsense.geo import (
     GpsFix,
     gap_count,
     haversine_m,
-    interpolate_position,
     locate_event,
     speed_at,
 )
 
 EARTH_R = 6_371_000.0
+# Longer than any fix gap in these tests, so a lookup is never left unlocated.
+NO_GAP_MS = 10**9
 
 
 def _fix(t_ms: int, lat: float, lon: float) -> GpsFix:
@@ -56,39 +57,34 @@ def test_fix_range_validation():
 
 def test_interpolate_hits_fix_exactly():
     fixes = [_fix(0, 10.0, 20.0), _fix(10_000, 10.001, 20.0)]
-    assert interpolate_position(fixes, 0) == (10.0, 20.0)
-    assert interpolate_position(fixes, 10_000) == (10.001, 20.0)
+    assert locate_event(fixes, 0, NO_GAP_MS) == (10.0, 20.0)
+    assert locate_event(fixes, 10_000, NO_GAP_MS) == (10.001, 20.0)
 
 
 def test_interpolate_midpoint():
     fixes = [_fix(0, 0.0, 0.0), _fix(10_000, 0.001, 0.0)]
-    lat, lon = interpolate_position(fixes, 5_000)
+    lat, lon = locate_event(fixes, 5_000, NO_GAP_MS)
     assert lat == pytest.approx(0.0005, abs=1e-12)
     assert lon == 0.0
 
 
 def test_interpolate_clamps_outside_span():
     fixes = [_fix(1_000, 1.0, 2.0), _fix(2_000, 1.1, 2.1)]
-    assert interpolate_position(fixes, 0) == (1.0, 2.0)
-    assert interpolate_position(fixes, 9_999) == (1.1, 2.1)
+    assert locate_event(fixes, 0, NO_GAP_MS) == (1.0, 2.0)
+    assert locate_event(fixes, 9_999, NO_GAP_MS) == (1.1, 2.1)
 
 
 def test_interpolate_single_fix():
     fixes = [_fix(500, 3.0, 4.0)]
-    assert interpolate_position(fixes, 0) == (3.0, 4.0)
-    assert interpolate_position(fixes, 99_999) == (3.0, 4.0)
-
-
-def test_interpolate_requires_fixes():
-    with pytest.raises(NoLocationError):
-        interpolate_position([], 0)
+    assert locate_event(fixes, 0, NO_GAP_MS) == (3.0, 4.0)
+    assert locate_event(fixes, 99_999, NO_GAP_MS) == (3.0, 4.0)
 
 
 def test_interpolate_continuity():
     fixes = [_fix(0, 50.0, 8.0), _fix(4_000, 50.002, 8.001), _fix(9_000, 50.001, 8.004)]
-    prev = interpolate_position(fixes, 0)
+    prev = locate_event(fixes, 0, NO_GAP_MS)
     for t in range(100, 9_100, 100):
-        cur = interpolate_position(fixes, t)
+        cur = locate_event(fixes, t, NO_GAP_MS)
         assert abs(cur[0] - prev[0]) < 1e-4 and abs(cur[1] - prev[1]) < 1e-4
         prev = cur
 
@@ -217,7 +213,7 @@ def test_lookups_match_linear_scan_reference(track, data):
     queries = data.draw(st.lists(on_or_between, min_size=1, max_size=10))
     max_gap_ms = data.draw(st.integers(1, 20_000))
     for t in queries:
-        assert interpolate_position(track, t) == _scan_position(track, t)
+        assert locate_event(track, t, NO_GAP_MS) == _scan_position(track, t)
         assert locate_event(track, t, max_gap_ms) == _scan_locate(track, t, max_gap_ms)
         if len(track) > 1:
             assert speed_at(track, t) == _scan_speed(track, t)

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from roadsense.config import RoughnessConfig
 from roadsense.errors import InsufficientDataError
 from roadsense.roughness import (
     MAD_GAUSS,
@@ -20,6 +23,14 @@ SCHEDULE = (0.992, 0.995, 0.996, 0.998)
 THRESHOLDS = (0.007, 0.008, 0.01)
 
 
+@pytest.fixture
+def rough(config) -> RoughnessConfig:
+    """The packaged roughness config, pinned to the schedule these tests assert."""
+    return replace(
+        config.roughness, alpha_schedule=SCHEDULE, cost_thresholds=THRESHOLDS, history_len=8
+    )
+
+
 def _coeffs_with_finest(finest) -> WaveletCoeffs:
     finest = np.asarray(finest, dtype=float)
     return WaveletCoeffs(
@@ -29,115 +40,114 @@ def _coeffs_with_finest(finest) -> WaveletCoeffs:
 
 
 def test_sigma_of_equal_details():
-    est = estimate_sigma(_coeffs_with_finest(np.full(16, 0.2)))
-    assert est.sigma_hat == pytest.approx(0.2 / MAD_GAUSS, abs=1e-15)
+    sigma = estimate_sigma(_coeffs_with_finest(np.full(16, 0.2)))
+    assert sigma == pytest.approx(0.2 / MAD_GAUSS, abs=1e-15)
 
 
 def test_sigma_constant_segment_is_exactly_zero():
-    est = estimate_sigma(dwt(np.full(32, 9.8)))
-    assert est.sigma_hat == 0.0
+    assert estimate_sigma(dwt(np.full(32, 9.8))) == 0.0
 
 
 def test_sigma_even_median_averages_central_pair():
     finest = np.array([0.1] * 8 + [0.3] * 8)
-    est = estimate_sigma(_coeffs_with_finest(finest))
-    assert est.sigma_hat == pytest.approx(0.2 / MAD_GAUSS, abs=1e-15)
+    sigma = estimate_sigma(_coeffs_with_finest(finest))
+    assert sigma == pytest.approx(0.2 / MAD_GAUSS, abs=1e-15)
 
 
 def test_sigma_scale_equivariant():
     rng = np.random.default_rng(0)
     for _ in range(20):
         x = rng.normal(0.0, 1.0, 32)
-        base = estimate_sigma(dwt(x)).sigma_hat
-        scaled = estimate_sigma(dwt(-2.5 * x)).sigma_hat
+        base = estimate_sigma(dwt(x))
+        scaled = estimate_sigma(dwt(-2.5 * x))
         assert scaled == pytest.approx(2.5 * base, rel=1e-9)
 
 
 def test_sigma_monte_carlo_mean_near_unit():
     rng = np.random.default_rng(1)
     estimates = [
-        estimate_sigma(dwt(rng.normal(0.0, 1.0, 32))).sigma_hat
+        estimate_sigma(dwt(rng.normal(0.0, 1.0, 32)))
         for _ in range(2000)
     ]
     assert 0.9 <= float(np.mean(estimates)) <= 1.1
 
 
-def test_cost_single_estimate():
-    state = RoughnessState(forgetting=0.3, history_len=8)
+def test_cost_single_estimate(rough):
+    state = RoughnessState(replace(rough, forgetting=0.3))
     state.history.append(0.42)
     assert cost(state) == 0.42
 
 
-def test_cost_unit_forgetting_sums():
-    state = RoughnessState(forgetting=1.0, history_len=8)
+def test_cost_unit_forgetting_sums(rough):
+    state = RoughnessState(replace(rough, forgetting=1.0))
     state.history.extend([0.02] * 8)
     assert cost(state) == pytest.approx(0.16, abs=1e-15)
 
 
-def test_cost_geometric_weights():
+def test_cost_geometric_weights(rough):
     # Newest last in history; weights 1, 0.5, 0.25 oldest.
-    state = RoughnessState(forgetting=0.5, history_len=8)
+    state = RoughnessState(replace(rough, forgetting=0.5))
     state.history.extend([1.0, 1.0, 1.0])
     assert cost(state) == 1.75
 
 
-def test_cost_empty_history_raises():
+def test_cost_empty_history_raises(rough):
     with pytest.raises(InsufficientDataError):
-        cost(RoughnessState())
+        cost(RoughnessState(rough))
 
 
-def test_history_caps_at_length():
-    state = RoughnessState(history_len=8)
+def test_history_caps_at_length(rough):
+    state = RoughnessState(rough)
     for i in range(11):
         state.history.append(float(i))
     assert list(state.history) == [3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]
 
 
-def test_update_alpha_branches():
-    l = 8
-    assert update_alpha(0.02 * l, l) == 0.998
-    assert update_alpha(0.0085 * l, l) == 0.996
-    assert update_alpha(0.0075 * l, l) == 0.995
-    assert update_alpha(0.0, l) == 0.992
-    assert update_alpha(0.004 * l, l) == 0.992
+def test_update_alpha_branches(rough):
+    l = rough.history_len
+    assert update_alpha(0.02 * l, rough) == 0.998
+    assert update_alpha(0.0085 * l, rough) == 0.996
+    assert update_alpha(0.0075 * l, rough) == 0.995
+    assert update_alpha(0.0, rough) == 0.992
+    assert update_alpha(0.004 * l, rough) == 0.992
 
 
-def test_update_alpha_boundaries_belong_to_larger_alpha():
-    l = 8
-    assert update_alpha(0.007 * l, l) == 0.995
-    assert update_alpha(0.008 * l, l) == 0.996
-    assert update_alpha(0.01 * l, l) == 0.998
+def test_update_alpha_boundaries_belong_to_larger_alpha(rough):
+    l = rough.history_len
+    assert update_alpha(0.007 * l, rough) == 0.995
+    assert update_alpha(0.008 * l, rough) == 0.996
+    assert update_alpha(0.01 * l, rough) == 0.998
 
 
-def test_update_alpha_monotone_in_cost():
+def test_update_alpha_monotone_in_cost(rough):
     rng = np.random.default_rng(2)
     for _ in range(200):
         a, b = sorted(rng.uniform(0.0, 0.15, 2))
-        assert SCHEDULE.index(update_alpha(a, 8)) <= SCHEDULE.index(update_alpha(b, 8))
+        assert SCHEDULE.index(update_alpha(a, rough)) <= SCHEDULE.index(update_alpha(b, rough))
 
 
-def test_alpha_never_leaves_schedule():
+def test_alpha_never_leaves_schedule(rough):
     rng = np.random.default_rng(3)
-    state = RoughnessState()
+    state = RoughnessState(rough)
     for _ in range(300):
         x = rng.normal(9.8, rng.uniform(0.0, 2.0), 32)
-        state, level = classify_segment(state, dwt(x))
+        level = classify_segment(state, dwt(x))
         assert state.alpha in SCHEDULE
         assert level == SCHEDULE.index(state.alpha)
 
 
-def test_classify_constant_road_stays_smooth():
-    state = RoughnessState()
+def test_classify_constant_road_stays_smooth(rough):
+    state = RoughnessState(rough)
     for _ in range(20):
-        state, level = classify_segment(state, dwt(np.full(32, 9.8)))
+        level = classify_segment(state, dwt(np.full(32, 9.8)))
         assert level == 0
         assert state.alpha == 0.992
 
 
-def test_classify_normalizes_sigma_before_costing():
-    state = RoughnessState()
+def test_classify_normalizes_sigma_before_costing(rough):
+    state = RoughnessState(replace(rough, sigma_normalization=9.8))
     coeffs = _coeffs_with_finest(np.full(16, 9.8 * MAD_GAUSS))
-    classify_segment(state, coeffs, sigma_normalization=9.8)
+    classify_segment(state, coeffs)
     assert state.history[-1] == pytest.approx(1.0, rel=1e-12)
 
 
