@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .config import BumpConfig
 from .events import KIND_BUMP, RoadEvent
 from .wavelet import WaveletCoeffs, find_peaks
@@ -46,33 +44,33 @@ def lipschitz_algorithm1(coeffs: WaveletCoeffs) -> LipschitzEstimate:
 
     Peak positions are compared on a normalized (0, 1] axis: the 1-based
     peak index divided by the coefficient count at that scale. Ties for the
-    nearest scale-2 peak resolve to the earlier index.
+    largest scale-1 peak and for the nearest scale-2 peak resolve to the
+    earlier index.
     """
-    d1, d2 = coeffs.details[0], coeffs.details[1]
-    pks1, locs1 = find_peaks(np.abs(d1))
-    pks2, locs2 = find_peaks(np.abs(d2))
-    if pks1.size == 0 or pks2.size == 0:
+    a1 = [abs(v) for v in coeffs.details[0].tolist()]
+    a2 = [abs(v) for v in coeffs.details[1].tolist()]
+    locs1, locs2 = find_peaks(a1), find_peaks(a2)
+    if not locs1 or not locs2:
         return _INVALID
-    i1 = int(np.argmax(pks1))
-    p1 = float(pks1[i1])
-    normloc1 = (locs1[i1] + 1) / d1.size
-    normloc2 = (locs2 + 1) / d2.size
-    i2 = int(np.argmin(np.abs(normloc2 - normloc1)))
-    p2 = float(pks2[i2])
+    k1 = max(locs1, key=a1.__getitem__)
+    p1 = a1[k1]
+    normloc1 = (k1 + 1) / len(a1)
+    k2 = min(locs2, key=lambda k: abs((k + 1) / len(a2) - normloc1))
+    p2 = a2[k2]
     s = math.log2(p1) + math.log2(p2)
     # Row 2 of inv([[4, 7], [7, 25]]) applied to [s, 7s], i.e. (7/17)*s. Kept
     # as two terms: folding them into one constant changes the last bits.
     beta = (-7.0 / 51.0) * s + (4.0 / 51.0) * 7.0 * s
     # Finest-scale coefficient k covers samples 2k and 2k+1.
-    return LipschitzEstimate(beta_hat=beta, p1=p1, p2=p2, loc=2 * int(locs1[i1]), valid=True)
+    return LipschitzEstimate(beta_hat=beta, p1=p1, p2=p2, loc=2 * k1, valid=True)
 
 
 def lipschitz_diagnostics(coeffs: WaveletCoeffs) -> dict:
     """Per-window peak sets (scales 1..3) as ``peaks1``..``peaks3``."""
     out: dict = {}
     for j in (1, 2, 3):
-        pks, locs = find_peaks(np.abs(coeffs.details[j - 1]))
-        out[f"peaks{j}"] = [[int(i), float(v)] for i, v in zip(locs, pks)]
+        a = [abs(v) for v in coeffs.details[j - 1].tolist()]
+        out[f"peaks{j}"] = [[i, a[i]] for i in find_peaks(a)]
     return out
 
 

@@ -31,8 +31,10 @@ class RoadEvent:
             raise InvalidSampleError(f"unknown event kind: {self.kind}")
         if self.t_end_ms < self.t_start_ms:
             raise InvalidSampleError("event ends before it starts")
-        if self.kind == KIND_ROUGH and int(self.intensity) not in (1, 2, 3):
-            raise InvalidSampleError(f"rough level out of range: {self.intensity}")
+        # A rough level is an int from 1 to 3; 1.5, 2.0 and True are not levels.
+        level = self.intensity
+        if self.kind == KIND_ROUGH and (type(level) is not int or not 1 <= level <= 3):
+            raise InvalidSampleError(f"not a rough level: {level!r}")
 
 
 @dataclass

@@ -15,7 +15,6 @@ class GpsFix:
     t_ms: int
     lat: float
     lon: float
-    accuracy_m: float | None = None
 
     def __post_init__(self) -> None:
         if not -90.0 <= self.lat <= 90.0 or not -180.0 <= self.lon <= 180.0:

@@ -12,6 +12,7 @@ materialized.
 """
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable
 
 from .bump import (
@@ -39,7 +40,7 @@ from .roughness import (
     cost,
     estimate_sigma,
 )
-from .signal_core import AccelSample, SegmentBuffer
+from .signal_core import SegmentBuffer
 from .trip_io import TripReader
 from .wavelet import dwt
 
@@ -51,7 +52,7 @@ def _round_location(ev: RoadEvent) -> None:
 
 
 def analyze_trip_stream(
-    rows: Iterable[tuple[str, AccelSample | GpsFix]],
+    rows: Iterable[tuple[str, tuple[int, float, float, float] | GpsFix]],
     config: PipelineConfig,
     trip_id: str = "",
     device_id: str = "",
@@ -59,10 +60,11 @@ def analyze_trip_stream(
 ) -> TripReport:
     """Analyze an interleaved, time-ordered sensor row stream into a report.
 
-    ``rows`` yields ("A", AccelSample) and ("G", GpsFix) pairs, e.g. from a
-    :class:`~roadsense.trip_io.TripReader`. When the iterable exposes reader
-    parse stats, malformed-row counts carry into the report. ``diagnostics``,
-    when given, receives one dict per window as soon as the window is scored.
+    ``rows`` yields ("A", (t_ms, ax, ay, az)) with finite axes and ("G",
+    GpsFix) pairs, e.g. from a :class:`~roadsense.trip_io.TripReader`. When
+    the iterable exposes reader parse stats, malformed-row counts carry into
+    the report. ``diagnostics``, when given, receives one dict per window as
+    soon as the window is scored.
     """
     sig, rough_cfg = config.signal, config.roughness
     fstate = make_filter(rough_cfg.alpha_schedule[0])
@@ -72,20 +74,21 @@ def analyze_trip_stream(
     candidates: list[tuple[LipschitzEstimate, int]] = []
     fixes: list[GpsFix] = []
     gap_ms = sig.reseed_gap_periods * sig.period_ms
-    prev_t: int | None = None
+    prev_t = math.inf  # the first sample follows no gap
 
     for kind, value in rows:
         if kind == "G":
             fixes.append(value)
             continue
-        if prev_t is not None and value.t_ms - prev_t > gap_ms:
+        t_ms, ax, ay, az = value
+        if t_ms - prev_t > gap_ms:
             # No window spans a sensor gap, and stale filter state does not
             # carry across it.
             fstate = reset_seed(fstate)
             segbuf.restart()
-        prev_t = value.t_ms
-        fstate, g = filter_step(fstate, value.ax, value.ay, value.az)
-        seg = segbuf.push(value.t_ms, gravity_magnitude(g))
+        prev_t = t_ms
+        fstate, g = filter_step(fstate, ax, ay, az)
+        seg = segbuf.push(t_ms, gravity_magnitude(g))
         if seg is None:
             continue
 

@@ -27,9 +27,13 @@ def estimate_sigma(coeffs: WaveletCoeffs) -> float:
 
     The median makes the estimate ignore a handful of large coefficients, so
     an isolated transient does not read as sustained roughness. An
-    even-length median averages the two central order statistics.
+    even-length median averages the two central order statistics, as
+    ``np.median`` does, to the same bits.
     """
-    return float(np.median(np.abs(coeffs.details[0]))) / MAD_GAUSS
+    d = sorted(np.abs(coeffs.details[0]).tolist())
+    mid = len(d) // 2
+    median = d[mid] if len(d) % 2 else (d[mid - 1] + d[mid]) / 2
+    return median / MAD_GAUSS
 
 
 class RoughnessState:

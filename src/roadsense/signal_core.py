@@ -1,32 +1,17 @@
-"""Accelerometer sample type and fixed-width windowing.
+"""Fixed-width windowing.
 
 Windowing cuts the per-sample magnitude series into fixed-length analysis
 segments.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidSampleError
+from .errors import ConfigError
 
 GRAVITY_MS2 = 9.8
-
-
-@dataclass(frozen=True)
-class AccelSample:
-    """One raw accelerometer reading, axes in m/s^2."""
-
-    t_ms: int
-    ax: float
-    ay: float
-    az: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.ax) and math.isfinite(self.ay) and math.isfinite(self.az)):
-            raise InvalidSampleError(f"non-finite accelerometer values at t={self.t_ms}")
 
 
 @dataclass

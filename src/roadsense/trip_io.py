@@ -29,7 +29,6 @@ from .errors import (
 )
 from .events import KIND_ROUGH, RoadEvent, TripReport, TripStats
 from .geo import GpsFix
-from .signal_core import AccelSample
 
 TRIP_HEADER = "type,t_ms,a,b,c"
 MALFORMED_TOLERANCE = 0.01
@@ -42,12 +41,15 @@ class ParseStats:
 
 
 class TripReader:
-    """Single-pass trip CSV reader yielding ("A", AccelSample) / ("G", GpsFix).
+    """Single-pass trip CSV reader yielding ("A", (t_ms, ax, ay, az)) / ("G", GpsFix).
 
     Keeps nothing in memory beyond the current row, so arbitrarily long
-    trips stream through. The malformed-row budget can only be judged at end
-    of file, which is where CorruptTripError surfaces; ordering violations
-    raise at the offending row.
+    trips stream through. This is the one place samples enter, so it is the
+    one finite check: an accelerometer row with a non-finite axis is
+    malformed. A GPS row's accuracy column must be empty or a number but is
+    not kept. The malformed-row budget can only be judged at end of file,
+    which is where CorruptTripError surfaces; ordering violations raise at
+    the offending row.
     """
 
     def __init__(self, lines: Iterable[str]) -> None:
@@ -59,50 +61,44 @@ class TripReader:
         if header is None or header.strip() != TRIP_HEADER:
             raise TripFormatError(f"missing or wrong header; expected {TRIP_HEADER!r}")
 
-    def __iter__(self) -> Iterator[tuple[str, AccelSample | GpsFix]]:
-        prev_a = prev_g = None
+    def __iter__(self) -> Iterator[tuple[str, tuple[int, float, float, float] | GpsFix]]:
+        stats = self.stats
+        isfinite = math.isfinite
+        prev_a = prev_g = -math.inf
         for line in self._lines:
             line = line.strip()
             if not line:
                 continue
-            self.stats.total_rows += 1
-            row = self._parse_row(line)
-            if row is None:
-                self.stats.malformed_rows += 1
-                continue
-            kind, value = row
-            if kind == "A":
-                if prev_a is not None and value.t_ms < prev_a:
-                    raise OrderingError(f"accelerometer time went backwards at t={value.t_ms}")
-                prev_a = value.t_ms
+            stats.total_rows += 1
+            try:
+                kind, t, a, b, c = line.split(",")
+                t_ms = int(t)
+                if kind == "A":
+                    ax, ay, az = float(a), float(b), float(c)
+                    ok = isfinite(ax) and isfinite(ay) and isfinite(az)
+                elif kind == "G":
+                    if c:
+                        float(c)  # accuracy: validated, not kept
+                    fix = GpsFix(t_ms, float(a), float(b))
+                    ok = True
+                else:
+                    ok = False
+            except (ValueError, InvalidSampleError):
+                ok = False
+            if not ok:
+                stats.malformed_rows += 1
+            elif kind == "A":
+                if t_ms < prev_a:
+                    raise OrderingError(f"accelerometer time went backwards at t={t_ms}")
+                prev_a = t_ms
+                yield "A", (t_ms, ax, ay, az)
             else:
-                if prev_g is not None and value.t_ms < prev_g:
-                    raise OrderingError(f"GPS time went backwards at t={value.t_ms}")
-                prev_g = value.t_ms
-            yield kind, value
-        if self.stats.malformed_rows > MALFORMED_TOLERANCE * self.stats.total_rows:
-            raise CorruptTripError(
-                f"{self.stats.malformed_rows} of {self.stats.total_rows} rows malformed"
-            )
-
-    @staticmethod
-    def _parse_row(line: str) -> tuple[str, AccelSample | GpsFix] | None:
-        fields = line.split(",")
-        if len(fields) != 5:
-            return None
-        kind = fields[0]
-        try:
-            t_ms = int(fields[1])
-            if kind == "A":
-                return "A", AccelSample(
-                    t_ms, float(fields[2]), float(fields[3]), float(fields[4])
-                )
-            if kind == "G":
-                acc = float(fields[4]) if fields[4] != "" else None
-                return "G", GpsFix(t_ms, float(fields[2]), float(fields[3]), acc)
-        except (ValueError, InvalidSampleError):
-            return None
-        return None
+                if t_ms < prev_g:
+                    raise OrderingError(f"GPS time went backwards at t={t_ms}")
+                prev_g = t_ms
+                yield "G", fix
+        if stats.malformed_rows > MALFORMED_TOLERANCE * stats.total_rows:
+            raise CorruptTripError(f"{stats.malformed_rows} of {stats.total_rows} rows malformed")
 
 
 # -- Canonical report serialization -------------------------------------------

@@ -53,13 +53,10 @@ def dwt(values: np.ndarray) -> WaveletCoeffs:
     return WaveletCoeffs(approx=float(smooth[0]), details=tuple(details))
 
 
-def find_peaks(series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Strict local maxima of a series: (values, indices).
+def find_peaks(series: list[float]) -> list[int]:
+    """Indices of the strict local maxima of a series, in order.
 
     A peak is greater than both neighbours, so endpoints, flat tops and
     monotone runs yield nothing.
     """
-    s = np.asarray(series, dtype=float)
-    locs = [i for i in range(1, s.size - 1) if s[i - 1] < s[i] > s[i + 1]]
-    idx = np.array(locs, dtype=int)
-    return s[idx], idx
+    return [i for i in range(1, len(series) - 1) if series[i - 1] < series[i] > series[i + 1]]

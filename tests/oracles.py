@@ -2,8 +2,9 @@
 
 Everything here is deliberately plain Python: explicit inner products
 instead of the pyramid recursion, hand-rolled peak scans, a 2x2 inverse by
-adjugate. These routes share no code with the production implementations
-they verify, so agreement between the two is meaningful.
+adjugate, a trip reader that parses each row in its own call. These routes
+share no code with the production implementations they verify, so
+agreement between the two is meaningful.
 """
 from __future__ import annotations
 
@@ -11,7 +12,8 @@ import math
 
 import numpy as np
 
-from roadsense.errors import ShapeError
+from roadsense.errors import CorruptTripError, OrderingError, ShapeError
+from roadsense.geo import GpsFix
 from roadsense.wavelet import WaveletCoeffs
 
 
@@ -97,3 +99,60 @@ def oracle_algorithm1(values) -> dict:
     beta = m[1][0] * s + m[1][1] * 7.0 * s
     result.update(valid=True, beta_hat=beta, p1=p1, p2=p2, location=location)
     return result
+
+
+def _parse_row(line: str) -> tuple[str, tuple | GpsFix] | None:
+    # One stripped, non-blank trip row, or None when it is malformed.
+    fields = line.split(",")
+    if len(fields) != 5:
+        return None
+    kind = fields[0]
+    try:
+        t_ms = int(fields[1])
+        if kind == "A":
+            axes = (float(fields[2]), float(fields[3]), float(fields[4]))
+            if not all(math.isfinite(v) for v in axes):
+                return None
+            return "A", (t_ms, *axes)
+        if kind == "G":
+            if fields[4] != "":
+                float(fields[4])
+            lat, lon = float(fields[2]), float(fields[3])
+            if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+                return None
+            return "G", GpsFix(t_ms, lat, lon)
+    except ValueError:
+        return None
+    return None
+
+
+def oracle_read_trip(lines: list[str]) -> tuple[list, int, int, type | None]:
+    """Read a trip body (no header) one ``_parse_row`` call per line.
+
+    Returns the rows read, the total and malformed row counts, and the type
+    of the error that ended the read (None when the file is accepted).
+    """
+    rows, total, malformed = [], 0, 0
+    prev_a = prev_g = None
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        total += 1
+        row = _parse_row(line)
+        if row is None:
+            malformed += 1
+            continue
+        kind, value = row
+        if kind == "A":
+            if prev_a is not None and value[0] < prev_a:
+                return rows, total, malformed, OrderingError
+            prev_a = value[0]
+        else:
+            if prev_g is not None and value.t_ms < prev_g:
+                return rows, total, malformed, OrderingError
+            prev_g = value.t_ms
+        rows.append(row)
+    if malformed > 0.01 * total:
+        return rows, total, malformed, CorruptTripError
+    return rows, total, malformed, None

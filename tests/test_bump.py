@@ -142,6 +142,19 @@ def test_scale2_tie_resolves_to_earlier_peak():
     assert est.beta_hat == pytest.approx((7.0 / 17.0) * math.log2(10.0), abs=1e-9)
 
 
+def test_scale1_tie_resolves_to_earlier_peak():
+    d1 = np.zeros(16)
+    d1[3], d1[11] = 2.0, -2.0
+    d2 = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    coeffs = WaveletCoeffs(
+        approx=50.0, details=(d1, d2, np.zeros(4), np.zeros(2), np.zeros(1))
+    )
+    est = lipschitz_algorithm1(coeffs)
+    # Two finest-scale peaks of modulus 2; the earlier one (coefficient 3,
+    # samples 6 and 7) is P1.
+    assert (est.p1, est.loc) == (2.0, 6)
+
+
 def test_diagnostics_exposes_unused_scale3():
     x = _bump_segment()
     diag = lipschitz_diagnostics(dwt(x))

@@ -183,6 +183,7 @@ def test_aggregate_rejects_non_report(tmp_path, capsys):
         pytest.param({}, {"trip_id": 7}, id="trip-id-number"),
         pytest.param({}, {"stats": {"segments": 1.5, "dropped_samples": 0,
                                     "malformed_rows": 0, "gps_gaps": 0}}, id="count-not-integer"),
+        pytest.param({"kind": "rough", "intensity": 1.5}, {}, id="rough-level-fractional"),
     ],
 )
 def test_aggregate_rejects_malformed_report(tmp_path, capsys, event, header):

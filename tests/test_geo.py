@@ -21,7 +21,7 @@ NO_GAP_MS = 10**9
 
 
 def _fix(t_ms: int, lat: float, lon: float) -> GpsFix:
-    return GpsFix(t_ms=t_ms, lat=lat, lon=lon, accuracy_m=5.0)
+    return GpsFix(t_ms=t_ms, lat=lat, lon=lon)
 
 
 def test_haversine_zero_distance():
@@ -48,11 +48,11 @@ def test_haversine_symmetry():
 
 def test_fix_range_validation():
     with pytest.raises(InvalidSampleError):
-        GpsFix(t_ms=0, lat=91.0, lon=0.0, accuracy_m=None)
+        GpsFix(t_ms=0, lat=91.0, lon=0.0)
     with pytest.raises(InvalidSampleError):
-        GpsFix(t_ms=0, lat=0.0, lon=181.0, accuracy_m=None)
+        GpsFix(t_ms=0, lat=0.0, lon=181.0)
     with pytest.raises(InvalidSampleError):
-        GpsFix(t_ms=0, lat=math.nan, lon=0.0, accuracy_m=None)
+        GpsFix(t_ms=0, lat=math.nan, lon=0.0)
 
 
 def test_interpolate_hits_fix_exactly():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from roadsense import BumpSpec, Scenario, SpeedPoint, generate_trip
 from roadsense.geo import GpsFix, haversine_m
 from roadsense.pipeline import analyze_trip_file, analyze_trip_stream
-from roadsense.signal_core import AccelSample
 from roadsense.synth import load_scenario
 from roadsense.trip_io import TripReader, write_report
 
@@ -48,8 +47,8 @@ def test_single_bump_timed_and_located(config):
     assert abs(travelled - 5.0 * (ev.t_start_ms / 1000.0)) < 10.0
 
 
-def _block(t0_ms: int, value: float, n: int = 96) -> list[tuple[str, AccelSample]]:
-    return [("A", AccelSample(t0_ms + 20 * i, 0.0, 0.0, value)) for i in range(n)]
+def _block(t0_ms: int, value: float, n: int = 96) -> list[tuple[str, tuple]]:
+    return [("A", (t0_ms + 20 * i, 0.0, 0.0, value)) for i in range(n)]
 
 
 def test_long_gap_reseeds_gravity_filter(config):
@@ -83,7 +82,7 @@ def _expected_windows(times: list[int], gap_ms: float, window: int = 32):
 
 
 def _check_gap_windowing(rows, config):
-    times = [v.t_ms for kind, v in rows if kind == "A"]
+    times = [v[0] for kind, v in rows if kind == "A"]
     diag: list = []
     report = analyze_trip_stream(rows, config, diagnostics=diag.append)
     spans = [(d["t_start_ms"], d["t_end_ms"]) for d in diag]
@@ -101,7 +100,7 @@ def test_sensor_gap_restarts_the_window(config):
     csv_text, _ = generate_trip(load_scenario(scenario))
     rows = [
         (kind, v) for kind, v in TripReader(io.StringIO(csv_text))
-        if not (kind == "A" and 30_000 <= v.t_ms < 31_000)
+        if not (kind == "A" and 30_000 <= v[0] < 31_000)
     ]
     spans = _check_gap_windowing(rows, config)
     assert (29_440, 31_060) not in spans
@@ -122,7 +121,7 @@ def test_no_window_spans_a_sensor_gap(config, runs):
     for count, step in runs:
         for i in range(count):
             t += step if i == 0 else 20
-            rows.append(("A", AccelSample(t, 0.0, 0.1 * (i % 3), 9.8)))
+            rows.append(("A", (t, 0.0, 0.1 * (i % 3), 9.8)))
     _check_gap_windowing(rows, config)
 
 
@@ -139,14 +138,14 @@ def test_bump_time_is_its_own_sample_timestamp(config):
     csv_text, _ = generate_trip(scn)
     rows = list(TripReader(io.StringIO(csv_text)))
     shifted = [
-        (kind, AccelSample(v.t_ms + 40, v.ax, v.ay, v.az) if kind == "A" and v.t_ms >= 9_700 else v)
+        (kind, (v[0] + 40, *v[1:]) if kind == "A" and v[0] >= 9_700 else v)
         for kind, v in rows
     ]
     [on_time] = [e.t_start_ms for e in analyze_trip_stream(rows, config).events]
     [late] = [e.t_start_ms for e in analyze_trip_stream(shifted, config).events]
     assert on_time == 10_040
     assert late == on_time + 40
-    assert late in {v.t_ms for kind, v in shifted if kind == "A"}
+    assert late in {v[0] for kind, v in shifted if kind == "A"}
 
 
 def test_parse_stats_carry_into_report(config, tmp_path):
@@ -188,15 +187,15 @@ def test_analysis_is_deterministic(config):
 
 
 def test_bump_inside_gps_gap_stays_unlocated(config):
-    samples = [AccelSample(20 * i, 0.0, 0.0, 9.8) for i in range(2000)]
+    samples = [(20 * i, 0.0, 0.0, 9.8) for i in range(2000)]
     pulse = (0.25, 0.75, 1.0, 0.75, 0.25, 0.05)
     for k, frac in enumerate(pulse):
-        s = samples[1004 + k]
-        samples[1004 + k] = AccelSample(s.t_ms, 0.0, 0.0, 9.8 + 14.7 * frac)
+        t_ms = samples[1004 + k][0]
+        samples[1004 + k] = (t_ms, 0.0, 0.0, 9.8 + 14.7 * frac)
     # Two fixes a minute apart: usable mean speed, but no idea where within.
     rows = [("A", s) for s in samples]
-    rows.insert(1, ("G", GpsFix(0, 45.0, 7.0, 5.0)))
-    rows.append(("G", GpsFix(60_000, 45.0027, 7.0, 5.0)))
+    rows.insert(1, ("G", GpsFix(0, 45.0, 7.0)))
+    rows.append(("G", GpsFix(60_000, 45.0027, 7.0)))
     report = analyze_trip_stream(rows, config)
     bumps = [e for e in report.events if e.kind == "bump"]
     assert len(bumps) == 1

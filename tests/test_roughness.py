@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from roadsense.config import RoughnessConfig
 from roadsense.errors import InsufficientDataError
@@ -52,6 +54,27 @@ def test_sigma_even_median_averages_central_pair():
     finest = np.array([0.1] * 8 + [0.3] * 8)
     sigma = estimate_sigma(_coeffs_with_finest(finest))
     assert sigma == pytest.approx(0.2 / MAD_GAUSS, abs=1e-15)
+
+
+# A few small integers give ties; the floats cover the finite range.
+_FINEST = st.lists(
+    st.one_of(
+        st.integers(-3, 3).map(float),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    min_size=1,
+    max_size=64,
+)
+
+
+@given(values=_FINEST)
+@example(values=[5e-324, 5e-324])  # the smallest subnormal: halving each would round to 0
+@example(values=[1.7e308, 1.7e308])  # the pair sum overflows, as in np.median
+def test_sigma_median_is_numpy_median_to_the_bit(values):
+    finest = np.array(values)
+    with np.errstate(over="ignore"):
+        expected = float(np.median(np.abs(finest))) / MAD_GAUSS
+    assert estimate_sigma(WaveletCoeffs(approx=0.0, details=(finest,))) == expected
 
 
 def test_sigma_scale_equivariant():

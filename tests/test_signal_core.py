@@ -1,13 +1,11 @@
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
-from roadsense.errors import ConfigError, InvalidSampleError
+from roadsense.errors import ConfigError
 from roadsense.gravity_filter import gravity_magnitude
-from roadsense.signal_core import AccelSample, SegmentBuffer
+from roadsense.signal_core import SegmentBuffer
 
 
 def _random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -36,14 +34,6 @@ def test_resultant_rotation_invariant():
         rotated = _random_rotation(rng) @ v
         a, b = gravity_magnitude(tuple(v)), gravity_magnitude(tuple(rotated))
         assert a == pytest.approx(b, rel=1e-9)
-
-
-def test_accel_sample_rejects_non_finite():
-    # The only finite check a sample meets: the filter and magnitude trust it.
-    for bad in (math.nan, math.inf, -math.inf):
-        for axes in ((bad, 0.0, 9.8), (0.0, bad, 9.8), (0.0, 0.0, bad)):
-            with pytest.raises(InvalidSampleError):
-                AccelSample(0, *axes)
 
 
 def _pairs(n: int) -> list[tuple[int, float]]:

@@ -1,15 +1,20 @@
 from __future__ import annotations
 
 import io
+import itertools
 import json
+import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from roadsense.errors import CorruptTripError, OrderingError, TripFormatError
 from roadsense.events import RoadEvent, TripReport, TripStats
 from roadsense.geo import GpsFix
-from roadsense.signal_core import AccelSample
 from roadsense.trip_io import TRIP_HEADER, TripReader, parse_report, write_report
+
+from oracles import oracle_read_trip
 
 
 def _trip_text(rows: list[str]) -> str:
@@ -39,15 +44,18 @@ def test_parses_both_row_kinds():
     reader = TripReader(io.StringIO(text))
     rows = list(reader)
     assert [kind for kind, _ in rows] == ["A", "G", "A", "A"]
-    assert [s.t_ms for s in _kinds(rows, "A")] == [0, 20, 40]
-    assert rows[0] == ("A", AccelSample(0, 0.01, -0.02, 9.81))
-    assert rows[1] == ("G", GpsFix(0, 48.1, 11.5, 5.0))
+    assert [s[0] for s in _kinds(rows, "A")] == [0, 20, 40]
+    assert rows[0] == ("A", (0, 0.01, -0.02, 9.81))
+    assert rows[1] == ("G", GpsFix(0, 48.1, 11.5))
     assert reader.stats.total_rows == 4 and reader.stats.malformed_rows == 0
 
 
-def test_missing_accuracy_becomes_none():
-    [(_, fix)] = TripReader(io.StringIO(_trip_text(["G,0,1.0,2.0,"])))
-    assert fix.accuracy_m is None
+def test_accuracy_column_is_validated_not_kept():
+    # An empty accuracy is accepted; one that is not a number makes the row malformed.
+    rows = ["G,0,1.0,2.0,", "G,1000,1.0,2.0,abc"] + ["A,%d,0,0,9.8" % (20 * i) for i in range(150)]
+    reader = TripReader(io.StringIO(_trip_text(rows)))
+    assert _kinds(reader, "G") == [GpsFix(0, 1.0, 2.0)]
+    assert reader.stats.malformed_rows == 1
 
 
 def test_blank_lines_ignored():
@@ -67,15 +75,19 @@ def test_malformed_rows_counted_not_fatal():
 
 
 def test_non_finite_accel_row_is_malformed():
-    # AccelSample is the one finite check; nothing downstream checks again.
-    rows = ["A,%d,0,0,9.8" % (20 * i) for i in range(400)]
-    rows[10] = "A,200,nan,0,9.8"
-    rows[20] = "A,400,0,inf,9.8"
-    rows[30] = "A,600,0,0,-inf"
+    # The reader is the one finite check; nothing downstream checks again.
+    # Nine bad rows: nan, inf and -inf on each axis.
+    rows = ["A,%d,0,0,9.8" % (20 * i) for i in range(1000)]
+    for k, (bad, axis) in enumerate(itertools.product(("nan", "inf", "-inf"), range(3))):
+        i = 100 * (k + 1)
+        axes = ["0", "0", "9.8"]
+        axes[axis] = bad
+        rows[i] = "A,%d,%s" % (20 * i, ",".join(axes))
     reader = TripReader(io.StringIO(_trip_text(rows)))
     samples = [v for k, v in reader if k == "A"]
-    assert len(samples) == 397
-    assert reader.stats.malformed_rows == 3
+    assert len(samples) == 991
+    assert reader.stats.malformed_rows == 9
+    assert all(math.isfinite(x) for s in samples for x in s[1:])
 
 
 def test_unknown_row_type_is_malformed():
@@ -110,7 +122,7 @@ def test_corrupt_budget_boundary():
 def test_ordering_violation_raises_immediately():
     text = _trip_text(["A,100,0,0,9.8", "A,80,0,0,9.8"])
     rows = iter(TripReader(io.StringIO(text)))
-    assert next(rows)[1].t_ms == 100
+    assert next(rows)[1][0] == 100
     with pytest.raises(OrderingError):
         next(rows)
     assert issubclass(OrderingError, CorruptTripError)
@@ -130,6 +142,74 @@ def test_streams_ordered_independently():
     )
     rows = list(TripReader(io.StringIO(text)))
     assert len(_kinds(rows, "A")) == 3 and len(_kinds(rows, "G")) == 2
+
+
+_FINITE = st.one_of(st.integers(-20, 20).map(str), st.floats(-30.0, 30.0).map(repr))
+_LAT = st.one_of(st.floats(-90.0, 90.0), st.floats(90.001, 200.0), st.floats(-200.0, -90.001))
+_LON = st.one_of(st.floats(-180.0, 180.0), st.floats(180.001, 400.0))
+# Twelve A and three G rows to one of each other form, so most rows are valid.
+_FORMS = ["A"] * 12 + ["G"] * 3 + [
+    "blank", "padded", "non-finite", "field-count", "kind", "t-not-int", "backwards",
+]
+
+
+@st.composite
+def _trip_body(draw) -> list[str]:
+    lines: list[str] = []
+    t = {"A": 0, "G": 0}
+
+    def axes() -> str:
+        return ",".join(draw(_FINITE) for _ in range(3))
+
+    for _ in range(draw(st.one_of(st.integers(0, 8), st.integers(0, 60)))):
+        form = draw(st.sampled_from(_FORMS))
+        if form in ("A", "padded"):
+            t["A"] += draw(st.integers(0, 30))
+            line = "A,%d,%s" % (t["A"], axes())
+            lines.append(line if form == "A" else " \t%s  " % line)
+        elif form == "G":
+            t["G"] += draw(st.integers(0, 1000))
+            acc = draw(st.sampled_from(["", "5.0", "12", "abc", "nan"]))
+            lines.append("G,%d,%r,%r,%s" % (t["G"], draw(_LAT), draw(_LON), acc))
+        elif form == "blank":
+            lines.append(draw(st.sampled_from(["", "   "])))
+        elif form == "non-finite":
+            fields = axes().split(",")
+            bad = draw(st.sampled_from(["nan", "inf", "-inf", "-Infinity"]))
+            fields[draw(st.integers(0, 2))] = bad
+            lines.append("A,%d,%s" % (t["A"], ",".join(fields)))
+        elif form == "field-count":
+            lines.append(draw(st.sampled_from(["A,0,1,2", "A,0,1,2,3,4", "G,0,1", "bad", ","])))
+        elif form == "kind":
+            kind = draw(st.sampled_from(["X", "a", "AA", "g", ""]))
+            lines.append("%s,%d,0,0,9.8" % (kind, t["A"]))
+        elif form == "t-not-int":
+            t_text = draw(st.sampled_from(["1.5", "abc", "", "1e3", "nan"]))
+            lines.append("A,%s,0,0,9.8" % t_text)
+        else:
+            kind = draw(st.sampled_from(["A", "G"]))
+            back = t[kind] - draw(st.integers(1, 3))
+            lines.append("%s,%d,%s" % (kind, back, "1.0,2.0," if kind == "G" else "0,0,9.8"))
+    # A clean tail lets a few malformed rows stay inside the one-percent budget.
+    for _ in range(draw(st.sampled_from([0, 100, 300]))):
+        t["A"] += 20
+        lines.append("A,%d,0,0,9.8" % t["A"])
+    return lines
+
+
+@given(body=_trip_body())
+def test_reader_matches_per_row_reference(body):
+    reader = TripReader([TRIP_HEADER, *body])
+    rows, error = [], None
+    try:
+        for row in reader:
+            rows.append(row)
+    except CorruptTripError as exc:
+        error = type(exc)
+    expected_rows, total, malformed, expected_error = oracle_read_trip(body)
+    assert rows == expected_rows
+    assert (reader.stats.total_rows, reader.stats.malformed_rows) == (total, malformed)
+    assert error is expected_error
 
 
 def _report() -> TripReport:

@@ -132,25 +132,22 @@ def test_dwt_shape_mismatch():
 
 
 def test_find_peaks_single():
-    pks, locs = find_peaks(np.array([0.0, 5.0, 0.0]))
-    assert list(pks) == [5.0]
-    assert list(locs) == [1]
+    assert find_peaks([0.0, 5.0, 0.0]) == [1]
 
 
 def test_find_peaks_monotone_empty():
-    assert find_peaks(np.arange(10.0))[0].size == 0
-    assert find_peaks(np.arange(10.0)[::-1])[0].size == 0
+    assert find_peaks([float(i) for i in range(10)]) == []
+    assert find_peaks([float(i) for i in range(10)][::-1]) == []
 
 
 def test_find_peaks_endpoints_excluded():
-    pks, _ = find_peaks(np.array([9.0, 1.0, 8.0]))
-    assert pks.size == 0
+    assert find_peaks([9.0, 1.0, 8.0]) == []
 
 
 def test_find_peaks_plateau_policies():
     # A flat top is not a peak, with or without shoulders.
-    assert find_peaks(np.array([0.0, 5.0, 5.0, 0.0]))[0].size == 0
-    assert find_peaks(np.array([0.0, 5.0, 5.0]))[0].size == 0
+    assert find_peaks([0.0, 5.0, 5.0, 0.0]) == []
+    assert find_peaks([0.0, 5.0, 5.0]) == []
 
 
 # A few small integers give ties and flat runs; the floats give the rest.
@@ -161,15 +158,15 @@ _SERIES = st.lists(
 
 @given(series=_SERIES)
 def test_find_peaks_matches_oracle(series):
-    pks, locs = find_peaks(np.array(series))
+    locs = find_peaks(series)
     oracle_pks, oracle_locs = _findpeaks_1based(series)
-    assert pks.tolist() == oracle_pks
-    assert locs.tolist() == [loc - 1 for loc in oracle_locs]
+    assert [series[i] for i in locs] == oracle_pks
+    assert locs == [loc - 1 for loc in oracle_locs]
 
 
 def test_find_peaks_short_series():
-    assert find_peaks(np.array([1.0, 2.0]))[0].size == 0
-    assert find_peaks(np.array([]))[0].size == 0
+    assert find_peaks([1.0, 2.0]) == []
+    assert find_peaks([]) == []
 
 
 def test_transform_speed():
