@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import io
+import math
+
 import numpy as np
 import pytest
 
 from roadsense.errors import ConfigError
 from roadsense.gravity_filter import gravity_magnitude
 from roadsense.signal_core import SegmentBuffer
+from roadsense.trip_io import TRIP_HEADER, TripReader
 
 
 def _random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -34,6 +38,20 @@ def test_resultant_rotation_invariant():
         rotated = _random_rotation(rng) @ v
         a, b = gravity_magnitude(tuple(v)), gravity_magnitude(tuple(rotated))
         assert a == pytest.approx(b, rel=1e-9)
+
+
+def test_accel_sample_rejects_non_finite():
+    # The reader is the one finite check a sample meets: the filter and
+    # magnitude trust it. Each bad row is dropped as malformed.
+    good = ["A,%d,0,0,9.8" % (20 * i) for i in range(1, 151)]
+    for bad in ("nan", "inf", "-inf"):
+        for axes in ((bad, "0", "9.8"), ("0", bad, "9.8"), ("0", "0", bad)):
+            text = "\n".join([TRIP_HEADER, "A,0," + ",".join(axes), *good]) + "\n"
+            reader = TripReader(io.StringIO(text))
+            samples = [v for k, v in reader if k == "A"]
+            assert [s[0] for s in samples] == [20 * i for i in range(1, 151)]
+            assert all(math.isfinite(x) for s in samples for x in s[1:])
+            assert reader.stats.malformed_rows == 1
 
 
 def _pairs(n: int) -> list[tuple[int, float]]:
