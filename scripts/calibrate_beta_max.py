@@ -60,7 +60,7 @@ def window_beta(
     for v in raw:
         state, g = filter_step(state, 0.0, 0.0, float(v))
         values.append(gravity_magnitude(g))
-    est = lipschitz_algorithm1(dwt(np.asarray(values[WARMUP:])))
+    est = lipschitz_algorithm1(dwt(values[WARMUP:]))
     return est.beta_hat if est.valid else None
 
 

@@ -47,8 +47,8 @@ def lipschitz_algorithm1(coeffs: WaveletCoeffs) -> LipschitzEstimate:
     largest scale-1 peak and for the nearest scale-2 peak resolve to the
     earlier index.
     """
-    a1 = [abs(v) for v in coeffs.details[0].tolist()]
-    a2 = [abs(v) for v in coeffs.details[1].tolist()]
+    a1 = [abs(v) for v in coeffs.details[0]]
+    a2 = [abs(v) for v in coeffs.details[1]]
     locs1, locs2 = find_peaks(a1), find_peaks(a2)
     if not locs1 or not locs2:
         return _INVALID
@@ -69,7 +69,7 @@ def lipschitz_diagnostics(coeffs: WaveletCoeffs) -> dict:
     """Per-window peak sets (scales 1..3) as ``peaks1``..``peaks3``."""
     out: dict = {}
     for j in (1, 2, 3):
-        a = [abs(v) for v in coeffs.details[j - 1].tolist()]
+        a = [abs(v) for v in coeffs.details[j - 1]]
         out[f"peaks{j}"] = [[i, a[i]] for i in find_peaks(a)]
     return out
 

@@ -6,6 +6,7 @@ downstream receives an immutable :class:`PipelineConfig`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -126,11 +127,13 @@ def _validate(cfg: PipelineConfig) -> None:
 
 
 def _typed(value, kind: type, where: str):
-    """``value`` if it is a ``kind``; ints pass as floats, bools never as numbers."""
+    """``value`` if it is a ``kind``, floats finite; ints pass as floats, bools never as numbers."""
     if kind is float and type(value) is int:
         value = float(value)
     if type(value) is not kind:
         raise ConfigError(f"config key {where} must be {kind.__name__}, got {value!r}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"config key {where} must be finite, got {value!r}")
     return value
 
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from collections import deque
 
-import numpy as np
-
 from .config import RoughnessConfig
 from .errors import InsufficientDataError
 from .events import KIND_ROUGH, RoadEvent
@@ -30,7 +28,7 @@ def estimate_sigma(coeffs: WaveletCoeffs) -> float:
     even-length median averages the two central order statistics, as
     ``np.median`` does, to the same bits.
     """
-    d = sorted(np.abs(coeffs.details[0]).tolist())
+    d = sorted(abs(v) for v in coeffs.details[0])
     mid = len(d) // 2
     median = d[mid] if len(d) % 2 else (d[mid - 1] + d[mid]) / 2
     return median / MAD_GAUSS

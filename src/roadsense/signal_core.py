@@ -7,8 +7,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError
 
 GRAVITY_MS2 = 9.8
@@ -20,7 +18,7 @@ class Segment:
 
     index: int
     times: list[int]
-    values: np.ndarray
+    values: list[float]
 
     @property
     def t_start_ms(self) -> int:
@@ -53,10 +51,9 @@ class SegmentBuffer:
         self._vals.append(value)
         if len(self._vals) < self.window:
             return None
-        seg = Segment(index=self.count, times=self._ts, values=np.array(self._vals, dtype=float))
+        seg = Segment(index=self.count, times=self._ts, values=self._vals)
         self.count += 1
-        self._ts = []
-        self._vals.clear()
+        self._ts, self._vals = [], []
         return seg
 
     def restart(self) -> None:

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from .errors import ScenarioError
@@ -144,8 +143,10 @@ def load_scenario(source: str | Path) -> Scenario:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
 
 
-def _pulse(width: int) -> np.ndarray:
-    """Raised-cosine impulse of ``width`` samples, peak exactly 1."""
+def _pulse(width: int):
+    """Raised-cosine impulse of ``width`` samples, peak exactly 1, as an array."""
+    import numpy as np
+
     k = np.arange(1, width + 1)
     shape = np.sin(np.pi * k / (width + 1)) ** 2
     return shape / shape.max()
@@ -166,6 +167,9 @@ def _distance_m(profile: tuple[SpeedPoint, ...], t_s: float) -> float:
 
 def generate_trip(scenario: Scenario) -> tuple[str, str]:
     """Render a scenario to (trip CSV text, ground-truth label JSON text)."""
+    # Only synthesis needs numpy, so analyze and aggregate start without it.
+    import numpy as np
+
     hz = scenario.sample_rate_hz
     n = round(scenario.duration_s * hz)
     period_ms = 1000.0 / hz

@@ -16,9 +16,8 @@ segments, no phantom singularities).
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ShapeError
 
@@ -34,23 +33,24 @@ class WaveletCoeffs:
     """
 
     approx: float
-    details: tuple[np.ndarray, ...]
+    details: tuple[list[float], ...]
 
 
-def dwt(values: np.ndarray) -> WaveletCoeffs:
-    """Analyze one window whose length is a power of two >= 2."""
-    x = np.asarray(values, dtype=float)
-    size = x.shape[0] if x.ndim == 1 else 0
+def dwt(values: Sequence[float]) -> WaveletCoeffs:
+    """Analyze one window of floats whose length is a power of two >= 2."""
+    try:
+        smooth = [float(v) for v in values]
+    except TypeError as exc:
+        raise ShapeError(f"expected a 1-D sequence of floats: {exc}") from exc
+    size = len(smooth)
     if size < 2 or size & (size - 1):
-        raise ShapeError(f"expected a 1-D power-of-two length >= 2, got shape {x.shape}")
+        raise ShapeError(f"expected a power-of-two length >= 2, got {size}")
     details = []
-    smooth = x
     for _ in range(size.bit_length() - 1):
-        even = smooth[0::2]
-        odd = smooth[1::2]
-        details.append((even - odd) * _INV_SQRT2)
-        smooth = (even + odd) * _INV_SQRT2
-    return WaveletCoeffs(approx=float(smooth[0]), details=tuple(details))
+        even, odd = smooth[0::2], smooth[1::2]
+        details.append([(e - o) * _INV_SQRT2 for e, o in zip(even, odd)])
+        smooth = [(e + o) * _INV_SQRT2 for e, o in zip(even, odd)]
+    return WaveletCoeffs(approx=smooth[0], details=tuple(details))
 
 
 def find_peaks(series: list[float]) -> list[int]:

@@ -4,7 +4,9 @@ Everything here is deliberately plain Python: explicit inner products
 instead of the pyramid recursion, hand-rolled peak scans, a 2x2 inverse by
 adjugate, a trip reader that parses each row in its own call. These routes
 share no code with the production implementations they verify, so
-agreement between the two is meaningful.
+agreement between the two is meaningful. ``numpy_dwt`` is the exception: it
+is the same pyramid on float64 arrays, which the package's list pyramid
+must match to the bit.
 """
 from __future__ import annotations
 
@@ -38,6 +40,22 @@ def oracle_dwt(values) -> WaveletCoeffs:
             row.append(math.fsum(terms))
         details.append(np.array(row))
     return WaveletCoeffs(approx=approx, details=tuple(details))
+
+
+def numpy_dwt(values) -> WaveletCoeffs:
+    """The Haar pyramid on float64 arrays, as the package ran it with numpy."""
+    x = np.asarray(values, dtype=float)
+    size = x.shape[0] if x.ndim == 1 else 0
+    if size < 2 or size & (size - 1):
+        raise ShapeError(f"expected a 1-D power-of-two length >= 2, got shape {x.shape}")
+    details = []
+    smooth = x
+    for _ in range(size.bit_length() - 1):
+        even = smooth[0::2]
+        odd = smooth[1::2]
+        details.append((even - odd) * 2.0**-0.5)
+        smooth = (even + odd) * 2.0**-0.5
+    return WaveletCoeffs(approx=float(smooth[0]), details=tuple(details))
 
 
 def _findpeaks_1based(series: list[float]) -> tuple[list[float], list[int]]:

@@ -96,6 +96,21 @@ def test_config_env_var_and_flag_precedence(tmp_path, monkeypatch, capsys):
                  "--config", str(fine)]) == 0
 
 
+@pytest.mark.parametrize(
+    "override",
+    ["bump:\n  beta_max: .nan\n", "signal:\n  sample_rate_hz: .inf\n"],
+    ids=["beta-max-nan", "sample-rate-inf"],
+)
+def test_analyze_non_finite_config_exits_2(tmp_path, capsys, override):
+    trip = _trip_file(tmp_path)
+    cfg = tmp_path / "nonfinite.yaml"
+    cfg.write_text(override)
+    out = tmp_path / "r.json"
+    assert main(["analyze", str(trip), "--out", str(out), "--config", str(cfg)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_renders_trip_and_labels(tmp_path):
     scn = tmp_path / "scn.yaml"
     scn.write_text("name: s\nduration_s: 8\nbumps:\n  - [3.0, 1.5, 6]\n")
@@ -140,8 +155,14 @@ def test_aggregate_honors_min_trips(tmp_path):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--radius", "-1"], ["--radius", "0"], ["--radius", "nan"], ["--min-trips", "0"]],
-    ids=["radius-negative", "radius-zero", "radius-nan", "min-trips-zero"],
+    [
+        ["--radius", "-1"],
+        ["--radius", "0"],
+        ["--radius", "nan"],
+        ["--radius", "inf"],
+        ["--min-trips", "0"],
+    ],
+    ids=["radius-negative", "radius-zero", "radius-nan", "radius-inf", "min-trips-zero"],
 )
 def test_aggregate_rejects_out_of_range_flags(tmp_path, capsys, flags):
     # Flags obey the same rules as the config keys they override.

@@ -106,6 +106,11 @@ def test_invalid_yaml(tmp_path):
         "gravity:\n  alpha: '0.992'\n",
         "roughness:\n  cost_thresholds: [0.007, '0.008', 0.01]\n",
         "schema_version: 7\n",
+        # Non-finite floats are rejected: a nan ceiling passes no window and
+        # an infinite rate reaches the report writer.
+        "bump:\n  beta_max: .nan\n",
+        "bump:\n  beta_max: -.inf\n",
+        "signal:\n  sample_rate_hz: .inf\n",
     ],
 )
 def test_validation_rejects(tmp_path, override):

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import roadsense
+from roadsense import Scenario, generate_trip
 
 PACKAGE = Path(roadsense.__file__).resolve().parent
 
@@ -25,3 +26,29 @@ def test_cli_import_loads_every_module():
     )
     modules = {f"roadsense.{p.stem}" for p in PACKAGE.glob("*.py") if p.stem != "__init__"}
     assert set(run.stdout.split()) == modules | {"roadsense"}
+
+
+NUMPY_PROBE = """
+import sys
+import roadsense.cli
+from roadsense.config import load_config
+load_config()
+trip, report, hazard_map = sys.argv[1:]
+assert roadsense.cli.main(["analyze", trip, "--out", report]) == 0
+assert roadsense.cli.main(["aggregate", report, "--out", hazard_map, "--min-trips", "1"]) == 0
+print(sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy.")))
+"""
+
+
+def test_command_line_never_imports_numpy(tmp_path):
+    # Only synthesis needs numpy; analyze and aggregate start without it.
+    trip = tmp_path / "trip.csv"
+    trip.write_text(generate_trip(Scenario(name="probe", duration_s=12.0))[0])
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    run = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, str(trip), str(tmp_path / "r.json"),
+         str(tmp_path / "map.json")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert run.stdout.split() == ["[]"]
+    assert (tmp_path / "map.json").exists()

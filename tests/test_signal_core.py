@@ -105,6 +105,21 @@ def test_restart_discards_partial_window():
     assert buf.dropped == 8 + 6
 
 
+def test_emitted_window_is_not_reused():
+    # The buffer hands its lists to the segment it emits, so later pushes
+    # and restarts must fill fresh lists, never the emitted ones.
+    buf = SegmentBuffer(window=32)
+    first = [s for t, v in _pairs(40) if (s := buf.push(t, v)) is not None][0]
+    buf.restart()
+    second = [s for t, v in _pairs(64) if (s := buf.push(10_000 + t, -v)) is not None]
+    buf.push(20_000, 99.0)
+    buf.restart()
+    assert first.times == [20 * i for i in range(32)]
+    assert list(first.values) == [float(i) for i in range(32)]
+    assert [s.index for s in second] == [1, 2]
+    assert second[0].values is not second[1].values
+
+
 def test_segment_buffer_validation():
     with pytest.raises(ConfigError):
         SegmentBuffer(window=1)

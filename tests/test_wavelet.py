@@ -1,17 +1,18 @@
 from __future__ import annotations
 
 import math
+import struct
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from roadsense.errors import ShapeError
 from roadsense.wavelet import dwt, find_peaks
 
-from oracles import _findpeaks_1based, oracle_dwt
+from oracles import _findpeaks_1based, numpy_dwt, oracle_dwt
 
 
 def _flat(coeffs) -> np.ndarray:
@@ -42,6 +43,39 @@ def test_basis_size_validation():
     for size in (0, 1, 3, 12, 33):
         with pytest.raises(ShapeError):
             dwt(np.zeros(size))
+        with pytest.raises(ShapeError):
+            dwt([0.0] * size)
+
+
+def _bits(values) -> list[bytes]:
+    return [struct.pack("<d", v) for v in values]
+
+
+# Small integers give exact ties between neighbours; the floats span the
+# whole finite range, so sums may overflow to inf and then give nan.
+_WINDOWS = st.integers(1, 6).flatmap(
+    lambda j: st.lists(
+        st.one_of(
+            st.integers(-3, 3).map(float),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        min_size=1 << j,
+        max_size=1 << j,
+    )
+)
+
+
+@given(values=_WINDOWS)
+@example(values=[1.7e308, 1.7e308, -1.7e308, -1.7e308])  # the approx is inf + -inf = nan
+def test_list_pyramid_matches_numpy_to_the_bit(values):
+    with np.errstate(over="ignore", invalid="ignore"):
+        theirs = numpy_dwt(values)
+    mine = dwt(values)
+    assert _bits([mine.approx]) == _bits([theirs.approx])
+    assert len(mine.details) == len(theirs.details)
+    for d, ref in zip(mine.details, theirs.details):
+        assert type(d) is list
+        assert _bits(d) == _bits(ref)
 
 
 def test_orthonormality(analysis):
@@ -58,7 +92,7 @@ def test_vanishing_moment(analysis):
 def test_constant_input_details_exactly_zero():
     coeffs = dwt(np.full(32, 9.8))
     for d in coeffs.details:
-        assert np.all(d == 0.0)
+        assert np.all(np.asarray(d) == 0.0)
     assert coeffs.approx == pytest.approx(9.8 * math.sqrt(32), abs=1e-12)
 
 
@@ -67,9 +101,9 @@ def test_single_opposed_pair():
     x[0], x[1] = 1.0, -1.0
     coeffs = dwt(x)
     assert coeffs.details[0][0] == math.sqrt(2.0)
-    assert np.all(coeffs.details[0][1:] == 0.0)
+    assert np.all(np.asarray(coeffs.details[0][1:]) == 0.0)
     for d in coeffs.details[1:]:
-        assert np.all(d == 0.0)
+        assert np.all(np.asarray(d) == 0.0)
     assert coeffs.approx == 0.0
     assert _flat_max_diff(coeffs, oracle_dwt(x)) == 0.0
 
@@ -84,7 +118,8 @@ def test_energy_conservation():
     for _ in range(50):
         x = rng.normal(9.8, 2.0, 32)
         coeffs = dwt(x)
-        energy = coeffs.approx**2 + sum(float(d @ d) for d in coeffs.details)
+        details = [np.asarray(d) for d in coeffs.details]
+        energy = coeffs.approx**2 + sum(float(d @ d) for d in details)
         assert energy == pytest.approx(float(x @ x), rel=1e-9)
 
 
@@ -95,6 +130,7 @@ def test_linearity():
     cx, cy = dwt(x), dwt(y)
     assert combo.approx == pytest.approx(2.5 * cx.approx - 0.5 * cy.approx, abs=1e-12)
     for dc, dx, dy in zip(combo.details, cx.details, cy.details):
+        dc, dx, dy = np.asarray(dc), np.asarray(dx), np.asarray(dy)
         assert np.abs(dc - (2.5 * dx - 0.5 * dy)).max() < 1e-12
 
 
@@ -129,6 +165,8 @@ def test_dwt_shape_mismatch():
     for shape in ((4, 8), (32, 1), ()):
         with pytest.raises(ShapeError):
             dwt(np.zeros(shape))
+    with pytest.raises(ShapeError):
+        dwt([[0.0] * 8] * 4)
 
 
 def test_find_peaks_single():
