@@ -42,10 +42,10 @@ class HazardCluster:
 def cluster_events(reports: list[TripReport], radius_m: float) -> list[HazardCluster]:
     """Greedy same-kind clustering of every located event in the reports.
 
-    Unlocated events (GPS gap at the wrong moment) cannot support a map
-    entry and are skipped. An event joins the nearest centroid within the
-    radius, else starts a new cluster. Two reports with the same trip id
-    would count as one trip, so they raise :class:`TripFormatError`.
+    Unlocated events (GPS gap at the wrong moment; lat and lon both None)
+    cannot support a map entry and are skipped. An event joins the nearest
+    centroid within the radius, else starts a new cluster. Two reports with
+    the same trip id count as one trip, so they raise :class:`TripFormatError`.
     """
     ordered = sorted(reports, key=lambda r: r.trip_id)
     for a, b in zip(ordered, ordered[1:]):
@@ -54,7 +54,7 @@ def cluster_events(reports: list[TripReport], radius_m: float) -> list[HazardClu
     clusters: list[HazardCluster] = []
     for report in ordered:
         for ev in report.events:
-            if ev.lat is None or ev.lon is None:
+            if ev.lat is None:
                 continue
             best = None
             best_dist = None

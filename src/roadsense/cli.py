@@ -68,7 +68,8 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _config_path(flag_value: str | None) -> str | None:
-    return flag_value if flag_value is not None else os.environ.get(ENV_CONFIG)
+    # An empty environment value means no file, as if the variable were unset.
+    return flag_value if flag_value is not None else os.environ.get(ENV_CONFIG) or None
 
 
 def _write_diagnostic(entry: dict) -> None:

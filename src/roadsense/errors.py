@@ -1,8 +1,12 @@
 """Exception hierarchy for the roadsense package.
 
-CLI exit codes: format-level problems (bad header, bad config, bad scenario)
-map to exit 2, data-level corruption (too many bad rows, broken timestamp
-order) maps to exit 3.
+Input is checked once, where it enters: ``TripReader``, ``parse_report``,
+``load_config`` and ``Scenario``. Behind them only ``dwt`` checks its own
+length contract (``ShapeError``).
+
+CLI exit codes: format-level problems (bad header, bad report, bad config,
+bad scenario) map to exit 2, data-level corruption (too many bad rows,
+broken timestamp order) maps to exit 3.
 """
 
 
@@ -11,27 +15,15 @@ class RoadSenseError(Exception):
 
 
 class ConfigError(RoadSenseError):
-    """A tunable or constructor argument is out of its legal range."""
-
-
-class InvalidSampleError(RoadSenseError):
-    """A sensor value is non-finite or otherwise unusable."""
+    """A config value is missing, mistyped or out of its legal range."""
 
 
 class ShapeError(RoadSenseError):
     """An array does not have the length the transform expects."""
 
 
-class InsufficientDataError(RoadSenseError):
-    """An estimator was asked for a result before seeing any data."""
-
-
-class NoSpeedError(RoadSenseError):
-    """Speed cannot be derived from the available GPS fixes."""
-
-
 class TripFormatError(RoadSenseError):
-    """The trip file is not in the expected format at all (exit 2)."""
+    """A trip file or report is not in the expected format at all (exit 2)."""
 
 
 class CorruptTripError(RoadSenseError):

@@ -3,8 +3,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InvalidSampleError
-
 KIND_ROUGH = "rough"
 KIND_BUMP = "bump"
 
@@ -16,6 +14,7 @@ class RoadEvent:
     ``intensity`` is the peak roughness level (1..3) for rough events and the
     singularity exponent estimate for bumps. Location stays ``None`` until
     geo-tagging, or forever when GPS coverage was unusable at that moment.
+    A plain record: ``parse_report`` checks the events it reads.
     """
 
     kind: str
@@ -25,16 +24,6 @@ class RoadEvent:
     trip_id: str = ""
     lat: float | None = None
     lon: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in (KIND_ROUGH, KIND_BUMP):
-            raise InvalidSampleError(f"unknown event kind: {self.kind}")
-        if self.t_end_ms < self.t_start_ms:
-            raise InvalidSampleError("event ends before it starts")
-        # A rough level is an int from 1 to 3; 1.5, 2.0 and True are not levels.
-        level = self.intensity
-        if self.kind == KIND_ROUGH and (type(level) is not int or not 1 <= level <= 3):
-            raise InvalidSampleError(f"not a rough level: {level!r}")
 
 
 @dataclass

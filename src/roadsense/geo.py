@@ -5,8 +5,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .errors import InvalidSampleError, NoSpeedError
-
 EARTH_RADIUS_M = 6371000.0
 
 
@@ -15,10 +13,6 @@ class GpsFix:
     t_ms: int
     lat: float
     lon: float
-
-    def __post_init__(self) -> None:
-        if not -90.0 <= self.lat <= 90.0 or not -180.0 <= self.lon <= 180.0:
-            raise InvalidSampleError(f"fix out of range: ({self.lat}, {self.lon})")
 
 
 def haversine_m(
@@ -39,10 +33,10 @@ def _bracket(fixes: list[GpsFix], t_ms: int) -> tuple[GpsFix, GpsFix]:
     return fixes[hi - 1], fixes[hi]
 
 
-def speed_at(fixes: list[GpsFix], t_ms: int) -> float:
-    """Ground speed in m/s from the fix pair bracketing t (clamped at the ends)."""
+def speed_at(fixes: list[GpsFix], t_ms: int) -> float | None:
+    """Ground speed (m/s) from the fix pair bracketing t, clamped at the ends; None if < 2 fixes."""
     if len(fixes) < 2:
-        raise NoSpeedError("need at least two GPS fixes for speed")
+        return None
     lo, hi = _bracket(fixes, t_ms)
     dt_s = (hi.t_ms - lo.t_ms) / 1000.0
     if dt_s <= 0.0:

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import ConfigError
-
 
 class FilterState(NamedTuple):
     alpha: float
@@ -22,14 +20,8 @@ class FilterState(NamedTuple):
     seeded: bool
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
-
-
 def make_filter(alpha: float) -> FilterState:
     """Fresh unseeded state; the first sample seeds it. Samples must be finite."""
-    _check_alpha(alpha)
     return FilterState(alpha, 0.0, 0.0, 0.0, False)
 
 
@@ -55,7 +47,6 @@ def gravity_magnitude(filtered: tuple[float, float, float]) -> float:
 
 def set_alpha(state: FilterState, alpha: float) -> FilterState:
     """Change the smoothing factor, keeping the tracked gravity; samples must be finite."""
-    _check_alpha(alpha)
     return state._replace(alpha=alpha)
 
 

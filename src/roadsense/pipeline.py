@@ -23,7 +23,6 @@ from .bump import (
     merge_events,
 )
 from .config import PipelineConfig
-from .errors import NoSpeedError, RoadSenseError
 from .events import RoadEvent, TripReport, TripStats
 from .geo import GpsFix, gap_count, locate_event, speed_at
 from .gravity_filter import (
@@ -92,15 +91,12 @@ def analyze_trip_stream(
         if seg is None:
             continue
 
-        try:
-            coeffs = dwt(seg.values)
-            level = classify_segment(rstate, coeffs)
-            if rstate.alpha != fstate.alpha:
-                fstate = set_alpha(fstate, rstate.alpha)
-            tracker.observe(seg, level)
-            est = lipschitz_algorithm1(coeffs)
-        except RoadSenseError as exc:
-            raise type(exc)(f"segment {seg.index}: {exc}") from exc
+        coeffs = dwt(seg.values)
+        level = classify_segment(rstate, coeffs)
+        if rstate.alpha != fstate.alpha:
+            fstate = set_alpha(fstate, rstate.alpha)
+        tracker.observe(seg, level)
+        est = lipschitz_algorithm1(coeffs)
         if est.valid:
             candidates.append((est, seg.times[est.loc]))
         if diagnostics is not None:
@@ -133,11 +129,7 @@ def _finish(
     gps_cfg, bump_cfg = config.gps, config.bump
     bumps: list[RoadEvent] = []
     for est, t_ms in candidates:
-        try:
-            speed = speed_at(fixes, t_ms)
-        except NoSpeedError:
-            speed = None
-        ev = detect_bump(est, speed, t_ms, bump_cfg)
+        ev = detect_bump(est, speed_at(fixes, t_ms), t_ms, bump_cfg)
         if ev is None:
             continue
         loc = locate_event(fixes, t_ms, gps_cfg.max_gap_ms)

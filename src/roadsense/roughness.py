@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import deque
 
 from .config import RoughnessConfig
-from .errors import InsufficientDataError
 from .events import KIND_ROUGH, RoadEvent
 from .signal_core import Segment
 from .wavelet import WaveletCoeffs
@@ -49,9 +48,7 @@ class RoughnessState:
 
 
 def cost(state: RoughnessState) -> float:
-    """Forgetting-factor sum of the noise history, newest weighted 1."""
-    if not state.history:
-        raise InsufficientDataError("no noise estimates yet")
+    """Forgetting-factor sum of the noise history, newest weighted 1 (0 when empty)."""
     total = 0.0
     weight = 1.0
     for sigma in reversed(state.history):

@@ -7,8 +7,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigError
-
 GRAVITY_MS2 = 9.8
 
 
@@ -38,8 +36,6 @@ class SegmentBuffer:
     """
 
     def __init__(self, window: int) -> None:
-        if window < 2:
-            raise ConfigError("window must be at least 2 samples")
         self.window = window
         self._ts: list[int] = []
         self._vals: list[float] = []

@@ -21,13 +21,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .config import SCHEMA_VERSION
-from .errors import (
-    CorruptTripError,
-    InvalidSampleError,
-    OrderingError,
-    TripFormatError,
-)
-from .events import KIND_ROUGH, RoadEvent, TripReport, TripStats
+from .errors import CorruptTripError, OrderingError, TripFormatError
+from .events import KIND_BUMP, KIND_ROUGH, RoadEvent, TripReport, TripStats
 from .geo import GpsFix
 
 TRIP_HEADER = "type,t_ms,a,b,c"
@@ -45,11 +40,11 @@ class TripReader:
 
     Keeps nothing in memory beyond the current row, so arbitrarily long
     trips stream through. This is the one place samples enter, so it is the
-    one finite check: an accelerometer row with a non-finite axis is
-    malformed. A GPS row's accuracy column must be empty or a number but is
-    not kept. The malformed-row budget can only be judged at end of file,
-    which is where CorruptTripError surfaces; ordering violations raise at
-    the offending row.
+    one sample check: a non-finite accelerometer axis or a GPS lat/lon out of
+    range (nan included) makes the row malformed. A GPS row's accuracy column
+    must be empty or a number but is not kept. The malformed-row budget can
+    only be judged at end of file, which is where CorruptTripError surfaces;
+    ordering violations raise at the offending row.
     """
 
     def __init__(self, lines: Iterable[str]) -> None:
@@ -79,11 +74,11 @@ class TripReader:
                 elif kind == "G":
                     if c:
                         float(c)  # accuracy: validated, not kept
-                    fix = GpsFix(t_ms, float(a), float(b))
-                    ok = True
+                    lat, lon = float(a), float(b)
+                    ok = -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0
                 else:
                     ok = False
-            except (ValueError, InvalidSampleError):
+            except ValueError:
                 ok = False
             if not ok:
                 stats.malformed_rows += 1
@@ -96,7 +91,7 @@ class TripReader:
                 if t_ms < prev_g:
                     raise OrderingError(f"GPS time went backwards at t={t_ms}")
                 prev_g = t_ms
-                yield "G", fix
+                yield "G", GpsFix(t_ms, lat, lon)
         if stats.malformed_rows > MALFORMED_TOLERANCE * stats.total_rows:
             raise CorruptTripError(f"{stats.malformed_rows} of {stats.total_rows} rows malformed")
 
@@ -139,10 +134,13 @@ def _finite(value) -> bool:
 
 
 def _check_event(e: dict) -> None:
-    lat, lon = e["lat"], e["lon"]
+    lat, lon, start, end, level = e["lat"], e["lon"], e["t_start_ms"], e["t_end_ms"], e["intensity"]
     located = _finite(lat) and _finite(lon) and abs(lat) <= 90.0 and abs(lon) <= 180.0
-    times = type(e["t_start_ms"]) is int and type(e["t_end_ms"]) is int
-    if not (times and _finite(e["intensity"]) and (located or lat is None and lon is None)):
+    times = type(start) is int and type(end) is int and start <= end
+    # A rough level is an int from 1 to 3; 1.5, 2.0 and True are not levels.
+    rough = type(level) is int and 1 <= level <= 3
+    kind = e["kind"] == KIND_BUMP or e["kind"] == KIND_ROUGH and rough
+    if not (kind and times and _finite(level) and (located or lat is None and lon is None)):
         raise TripFormatError(f"not a valid trip report: bad event {e!r}")
 
 
@@ -152,7 +150,9 @@ def parse_report(text: str) -> TripReport:
     A report whose ``schema_version`` is missing or not this package's is
     rejected, not read as if it were. So is one with a non-finite number, a
     bool or string for a number, a non-string ``trip_id``, a non-integer
-    time or count, or a coordinate out of range or null on one side only.
+    time or count, a coordinate out of range or null on one side only, a
+    kind other than bump or rough, an end before its start, or a rough
+    level other than an int from 1 to 3.
     """
     try:
         payload = json.loads(text)
@@ -189,5 +189,5 @@ def parse_report(text: str) -> TripReport:
             events=events,
             stats=stats,
         )
-    except (json.JSONDecodeError, KeyError, TypeError, InvalidSampleError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise TripFormatError(f"not a valid trip report: {exc}") from exc

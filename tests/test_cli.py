@@ -111,6 +111,17 @@ def test_analyze_non_finite_config_exits_2(tmp_path, capsys, override):
     assert not out.exists()
 
 
+def test_empty_config_env_var_means_no_file(tmp_path, monkeypatch):
+    # ROADSENSE_CONFIG= counts as unset: the packaged defaults apply.
+    trip = _trip_file(tmp_path)
+    assert main(["analyze", str(trip), "--out", str(tmp_path / "plain.json")]) == 0
+    monkeypatch.setenv("ROADSENSE_CONFIG", "")
+    assert main(["analyze", str(trip), "--out", str(tmp_path / "r.json")]) == 0
+    assert (tmp_path / "r.json").read_text() == (tmp_path / "plain.json").read_text()
+    out = tmp_path / "map.json"
+    assert main(["aggregate", str(tmp_path / "r.json"), "--out", str(out)]) == 0
+
+
 def test_synth_renders_trip_and_labels(tmp_path):
     scn = tmp_path / "scn.yaml"
     scn.write_text("name: s\nduration_s: 8\nbumps:\n  - [3.0, 1.5, 6]\n")
@@ -205,6 +216,8 @@ def test_aggregate_rejects_non_report(tmp_path, capsys):
         pytest.param({}, {"stats": {"segments": 1.5, "dropped_samples": 0,
                                     "malformed_rows": 0, "gps_gaps": 0}}, id="count-not-integer"),
         pytest.param({"kind": "rough", "intensity": 1.5}, {}, id="rough-level-fractional"),
+        pytest.param({"kind": "pothole"}, {}, id="kind-unknown"),
+        pytest.param({"t_start_ms": 2000, "t_end_ms": 1000}, {}, id="ends-before-start"),
     ],
 )
 def test_aggregate_rejects_malformed_report(tmp_path, capsys, event, header):

@@ -86,6 +86,9 @@ def test_invalid_yaml(tmp_path):
         "gravity:\n  alpha: 0.994\n",
         "roughness:\n  alpha_schedule: [0.992, 0.998, 0.996, 0.995]\n",
         "roughness:\n  alpha_schedule: [0.992, 0.995]\n",
+        # Smoothing factors at the ends of (0, 1) never reach the filter.
+        "roughness:\n  alpha_schedule: [0.0, 0.995, 0.996, 0.998]\n",
+        "roughness:\n  alpha_schedule: [0.992, 0.995, 0.996, 1.0]\n",
         "roughness:\n  cost_thresholds: [0.01, 0.008, 0.007]\n",
         "roughness:\n  forgetting: 0.0\n",
         "roughness:\n  history_len: 0\n",

@@ -3,7 +3,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from roadsense.errors import ConfigError
 from roadsense.gravity_filter import (
     filter_step,
     gravity_magnitude,
@@ -75,14 +74,6 @@ def test_alpha_switch_constant_trajectory_unchanged():
     state = set_alpha(state, 0.992)
     _, outputs = _run_constant(state, sample, 50)
     assert all(g == sample for g in outputs)
-
-
-def test_alpha_validation():
-    for alpha in (0.0, 1.0, -0.5, 1.5):
-        with pytest.raises(ConfigError):
-            make_filter(alpha)
-        with pytest.raises(ConfigError):
-            set_alpha(make_filter(0.992), alpha)
 
 
 def test_bounded_input_containment():

@@ -1,13 +1,14 @@
 """The package ships only what the command line runs."""
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import roadsense
-from roadsense import Scenario, generate_trip
+from roadsense import Scenario, errors, generate_trip
 
 PACKAGE = Path(roadsense.__file__).resolve().parent
 
@@ -52,3 +53,20 @@ def test_command_line_never_imports_numpy(tmp_path):
     )
     assert run.stdout.split() == ["[]"]
     assert (tmp_path / "map.json").exists()
+
+
+def test_every_error_class_is_raised():
+    # An exception class the package never raises nor derives from is dead.
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                used.add(getattr(exc, "id", None))
+            elif isinstance(node, ast.ClassDef):
+                used.update(getattr(base, "id", None) for base in node.bases)
+    classes = {
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.RoadSenseError)
+    }
+    assert sorted(classes - used - {"RoadSenseError"}) == []

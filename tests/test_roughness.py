@@ -8,7 +8,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from roadsense.config import RoughnessConfig
-from roadsense.errors import InsufficientDataError
 from roadsense.roughness import (
     MAD_GAUSS,
     RoughEventTracker,
@@ -113,11 +112,6 @@ def test_cost_geometric_weights(rough):
     state = RoughnessState(replace(rough, forgetting=0.5))
     state.history.extend([1.0, 1.0, 1.0])
     assert cost(state) == 1.75
-
-
-def test_cost_empty_history_raises(rough):
-    with pytest.raises(InsufficientDataError):
-        cost(RoughnessState(rough))
 
 
 def test_history_caps_at_length(rough):

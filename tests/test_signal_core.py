@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from roadsense.errors import ConfigError
 from roadsense.gravity_filter import gravity_magnitude
 from roadsense.signal_core import SegmentBuffer
 from roadsense.trip_io import TRIP_HEADER, TripReader
@@ -118,8 +117,3 @@ def test_emitted_window_is_not_reused():
     assert list(first.values) == [float(i) for i in range(32)]
     assert [s.index for s in second] == [1, 2]
     assert second[0].values is not second[1].values
-
-
-def test_segment_buffer_validation():
-    with pytest.raises(ConfigError):
-        SegmentBuffer(window=1)

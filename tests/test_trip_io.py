@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 
 import pytest
 from hypothesis import given
@@ -139,8 +140,11 @@ def test_streams_ordered_independently():
 
 
 _FINITE = st.one_of(st.integers(-20, 20).map(str), st.floats(-30.0, 30.0).map(repr))
-_LAT = st.one_of(st.floats(-90.0, 90.0), st.floats(90.001, 200.0), st.floats(-200.0, -90.001))
-_LON = st.one_of(st.floats(-180.0, 180.0), st.floats(180.001, 400.0))
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_LAT = st.one_of(
+    st.floats(-90.0, 90.0), st.floats(90.001, 200.0), st.floats(-200.0, -90.001), _NON_FINITE
+)
+_LON = st.one_of(st.floats(-180.0, 180.0), st.floats(180.001, 400.0), _NON_FINITE)
 # Twelve A and three G rows to one of each other form, so most rows are valid.
 _FORMS = ["A"] * 12 + ["G"] * 3 + [
     "blank", "padded", "non-finite", "field-count", "kind", "t-not-int", "backwards",
