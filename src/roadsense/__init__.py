@@ -7,7 +7,6 @@ from .gravity_filter import filter_step, gravity_magnitude, make_filter
 from .pipeline import analyze_trip_file
 from .roughness import estimate_sigma, update_alpha
 from .signal_core import SegmentBuffer
-from .synth import BumpSpec, RoughPatch, Scenario, SpeedPoint, generate_trip
 from .wavelet import dwt
 
 __version__ = "0.1.0"
@@ -33,3 +32,11 @@ __all__ = [
     "update_alpha",
     "write_map",
 ]
+
+
+def __getattr__(name: str):
+    # The scenario names load synth on first use, so the command line starts without it.
+    if name in ("BumpSpec", "RoughPatch", "Scenario", "SpeedPoint", "generate_trip"):
+        from . import synth
+        return getattr(synth, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

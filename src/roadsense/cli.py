@@ -20,7 +20,6 @@ from .aggregate import cluster_events, prune_isolated, write_map
 from .config import SCHEMA_VERSION, load_config
 from .errors import ConfigError, CorruptTripError, RoadSenseError, TripFormatError
 from .pipeline import analyze_trip_file
-from .synth import generate_trip, load_scenario
 from .trip_io import parse_report
 
 ENV_CONFIG = "ROADSENSE_CONFIG"
@@ -108,6 +107,9 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    # Only this subcommand needs the scenario types, so analyze and aggregate skip them.
+    from .synth import generate_trip, load_scenario
+
     scenario = load_scenario(Path(args.scenario))
     csv_text, labels_text = generate_trip(scenario)
     _write(args.out, csv_text)

@@ -2,12 +2,10 @@
 
 Defaults ship with the package (``defaults.yaml``); a user file selectively
 overrides keys. ``load_config`` is the single entry point; everything
-downstream receives an immutable :class:`PipelineConfig`.
+downstream receives an immutable :class:`PipelineConfig`. A key is a field below.
 """
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -126,54 +124,29 @@ def _validate(cfg: PipelineConfig) -> None:
     _require(cfg.aggregate.min_trips >= 1, "min_trips must be at least 1")
 
 
-def _typed(value, kind: type, where: str):
+def _typed(value, kind: type, where: str, error: type[ConfigError] = ConfigError):
     """``value`` if it is a ``kind``, floats finite; ints pass as floats, bools never as numbers."""
     if kind is float and type(value) is int:
         value = float(value)
     if type(value) is not kind:
-        raise ConfigError(f"config key {where} must be {kind.__name__}, got {value!r}")
+        raise error(f"{where} must be {kind.__name__}, got {value!r}")
     if kind is float and not math.isfinite(value):
-        raise ConfigError(f"config key {where} must be finite, got {value!r}")
+        raise error(f"{where} must be finite, got {value!r}")
     return value
 
 
-def _build(raw: dict) -> PipelineConfig:
-    def get(path: str, kind: type):
-        section, key = path.split(".")
-        return _typed(raw[section][key], kind, path)
-
-    def floats(path: str) -> tuple[float, ...]:
-        return tuple(_typed(v, float, path) for v in get(path, list))
-
-    cfg = PipelineConfig(
-        schema_version=_typed(raw["schema_version"], int, "schema_version"),
-        signal=SignalConfig(
-            sample_rate_hz=get("signal.sample_rate_hz", float),
-            segment_len=get("signal.segment_len", int),
-            reseed_gap_periods=get("signal.reseed_gap_periods", float),
-        ),
-        roughness=RoughnessConfig(
-            alpha_schedule=floats("roughness.alpha_schedule"),
-            forgetting=get("roughness.forgetting", float),
-            history_len=get("roughness.history_len", int),
-            cost_thresholds=floats("roughness.cost_thresholds"),
-            sigma_normalization=get("roughness.sigma_normalization", float),
-            hold_off_segments=get("roughness.hold_off_segments", int),
-        ),
-        bump=BumpConfig(
-            beta_max=get("bump.beta_max", float),
-            min_speed_mps=get("bump.min_speed_mps", float),
-            allow_unknown_speed=get("bump.allow_unknown_speed", bool),
-            merge_window_ms=get("bump.merge_window_ms", int),
-        ),
-        gps=GpsConfig(max_gap_ms=get("gps.max_gap_ms", int)),
-        aggregate=AggregateConfig(
-            cluster_radius_m=get("aggregate.cluster_radius_m", float),
-            min_trips=get("aggregate.min_trips", int),
-        ),
-    )
-    _validate(cfg)
-    return cfg
+def _build(cls: type, raw: dict, prefix: str):
+    """Dataclass ``cls`` from the mapping ``raw``, one typed value per field."""
+    values = {}
+    for f in fields(cls):
+        where, value = prefix + f.name, raw[f.name]
+        if is_dataclass(f.type):
+            values[f.name] = _build(f.type, value, where + ".")
+        elif f.type == tuple[float, ...]:
+            values[f.name] = tuple(_typed(v, float, where) for v in _typed(value, list, where))
+        else:
+            values[f.name] = _typed(value, f.type, where)
+    return cls(**values)
 
 
 def load_config(path: str | Path | None = None, overrides: dict | None = None) -> PipelineConfig:
@@ -199,4 +172,6 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
         raw = _deep_merge(raw, override)
     if overrides:
         raw = _deep_merge(raw, overrides)
-    return _build(raw)
+    cfg = _build(PipelineConfig, raw, "config key ")
+    _validate(cfg)
+    return cfg

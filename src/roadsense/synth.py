@@ -16,6 +16,7 @@ from pathlib import Path
 
 import yaml
 
+from .config import _typed
 from .errors import ScenarioError
 from .geo import EARTH_RADIUS_M
 from .signal_core import GRAVITY_MS2
@@ -89,7 +90,7 @@ class Scenario:
 
 
 def load_scenario(source: str | Path) -> Scenario:
-    """Build a Scenario from YAML text or a file path."""
+    """Build a Scenario from YAML text or a file path, checking types as the config does."""
     text = Path(source).read_text("utf-8") if isinstance(source, Path) else source
     try:
         raw = yaml.safe_load(text)
@@ -114,29 +115,38 @@ def load_scenario(source: str | Path) -> Scenario:
     unknown = set(raw) - known
     if unknown:
         raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")
+
+    def typed(value, kind: type, key: str):
+        return _typed(value, kind, f"scenario key {key}", ScenarioError)
+
+    def floats(value, key: str) -> tuple[float, ...]:
+        return tuple(typed(v, float, key) for v in typed(value, list, key))
+
     try:
         kwargs: dict = {
-            "name": str(raw.get("name", "scenario")),
-            "duration_s": float(raw["duration_s"]),
+            "name": typed(raw.get("name", "scenario"), str, "name"),
+            "duration_s": typed(raw["duration_s"], float, "duration_s"),
         }
         for key in ("sample_rate_hz", "device_gain", "noise_sigma_g", "gps_rate_hz"):
             if key in raw:
-                kwargs[key] = float(raw[key])
+                kwargs[key] = typed(raw[key], float, key)
         if "rng_seed" in raw:
-            kwargs["rng_seed"] = int(raw["rng_seed"])
+            kwargs["rng_seed"] = typed(raw["rng_seed"], int, "rng_seed")
         if "gravity_orientation" in raw:
-            kwargs["gravity_orientation"] = tuple(float(c) for c in raw["gravity_orientation"])
+            x, y, z = floats(raw["gravity_orientation"], "gravity_orientation")
+            kwargs["gravity_orientation"] = (x, y, z)
         if "origin" in raw:
-            kwargs["origin_lat"], kwargs["origin_lon"] = (float(c) for c in raw["origin"])
+            kwargs["origin_lat"], kwargs["origin_lon"] = floats(raw["origin"], "origin")
         kwargs["rough"] = tuple(
-            RoughPatch(float(s), float(e), float(g)) for s, e, g in raw.get("rough_segments", [])
+            RoughPatch(*floats(p, "rough_segments")) for p in raw.get("rough_segments", [])
         )
         kwargs["bumps"] = tuple(
-            BumpSpec(float(t), float(h), int(w)) for t, h, w in raw.get("bumps", [])
+            BumpSpec(typed(t, float, "bumps"), typed(h, float, "bumps"), typed(w, int, "bumps"))
+            for t, h, w in raw.get("bumps", [])
         )
         if "speed_profile" in raw:
             kwargs["speed_profile"] = tuple(
-                SpeedPoint(float(t), float(v)) for t, v in raw["speed_profile"]
+                SpeedPoint(*floats(p, "speed_profile")) for p in raw["speed_profile"]
             )
         return Scenario(**kwargs)
     except (KeyError, TypeError, ValueError) as exc:

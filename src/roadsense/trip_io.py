@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
 from .config import SCHEMA_VERSION
@@ -118,12 +118,7 @@ def write_report(report: TripReport) -> str:
         "device_id": report.device_id,
         "sample_rate_hz": report.sample_rate_hz,
         "events": [_event_payload(ev) for ev in report.events],
-        "stats": {
-            "segments": report.stats.segments,
-            "dropped_samples": report.stats.dropped_samples,
-            "malformed_rows": report.stats.malformed_rows,
-            "gps_gaps": report.stats.gps_gaps,
-        },
+        "stats": asdict(report.stats),
     }
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
@@ -149,10 +144,11 @@ def parse_report(text: str) -> TripReport:
 
     A report whose ``schema_version`` is missing or not this package's is
     rejected, not read as if it were. So is one with a non-finite number, a
-    bool or string for a number, a non-string ``trip_id``, a non-integer
-    time or count, a coordinate out of range or null on one side only, a
-    kind other than bump or rough, an end before its start, or a rough
-    level other than an int from 1 to 3.
+    bool or string for a number, a non-string ``trip_id`` or ``device_id``,
+    a ``sample_rate_hz`` of zero or less, a non-integer time, a count that is
+    not an int of at least 0, a coordinate out of range or null on one side
+    only, a kind other than bump or rough, an end before its start, or a
+    rough level other than an int from 1 to 3.
     """
     try:
         payload = json.loads(text)
@@ -162,12 +158,16 @@ def parse_report(text: str) -> TripReport:
                 f"expected {SCHEMA_VERSION}"
             )
         stats = TripStats(**payload["stats"])
+        rate = payload["sample_rate_hz"]
         if not (
             type(payload["trip_id"]) is str
-            and _finite(payload["sample_rate_hz"])
-            and all(type(v) is int for v in vars(stats).values())
+            and type(payload["device_id"]) is str
+            and _finite(rate) and rate > 0
+            and all(type(v) is int and v >= 0 for v in vars(stats).values())
         ):
-            raise TripFormatError("not a valid trip report: bad trip_id, sample_rate_hz or stats")
+            raise TripFormatError(
+                "not a valid trip report: bad trip_id, device_id, sample_rate_hz or stats"
+            )
         for e in payload["events"]:
             _check_event(e)
         events = [
@@ -185,7 +185,7 @@ def parse_report(text: str) -> TripReport:
         return TripReport(
             trip_id=payload["trip_id"],
             device_id=payload["device_id"],
-            sample_rate_hz=payload["sample_rate_hz"],
+            sample_rate_hz=rate,
             events=events,
             stats=stats,
         )

@@ -213,8 +213,13 @@ def test_aggregate_rejects_non_report(tmp_path, capsys):
         pytest.param({"lat": None}, {}, id="only-lat-null"),
         pytest.param({}, {"sample_rate_hz": math.inf}, id="rate-infinite"),
         pytest.param({}, {"trip_id": 7}, id="trip-id-number"),
+        pytest.param({}, {"device_id": 7}, id="device-id-number"),
+        pytest.param({}, {"sample_rate_hz": -5.0}, id="rate-negative"),
+        pytest.param({}, {"sample_rate_hz": 0.0}, id="rate-zero"),
         pytest.param({}, {"stats": {"segments": 1.5, "dropped_samples": 0,
                                     "malformed_rows": 0, "gps_gaps": 0}}, id="count-not-integer"),
+        pytest.param({}, {"stats": {"segments": -3, "dropped_samples": 0,
+                                    "malformed_rows": 0, "gps_gaps": 0}}, id="count-negative"),
         pytest.param({"kind": "rough", "intensity": 1.5}, {}, id="rough-level-fractional"),
         pytest.param({"kind": "pothole"}, {}, id="kind-unknown"),
         pytest.param({"t_start_ms": 2000, "t_end_ms": 1000}, {}, id="ends-before-start"),

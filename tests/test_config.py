@@ -1,8 +1,12 @@
 from __future__ import annotations
 
-import pytest
+from dataclasses import fields, is_dataclass
+from importlib import resources
 
-from roadsense.config import load_config
+import pytest
+import yaml
+
+from roadsense.config import PipelineConfig, load_config
 from roadsense.errors import ConfigError
 
 
@@ -119,3 +123,38 @@ def test_invalid_yaml(tmp_path):
 def test_validation_rejects(tmp_path, override):
     with pytest.raises(ConfigError):
         load_config(_write(tmp_path, override))
+
+
+def _field_paths(cls: type, prefix: str = "") -> set[str]:
+    paths = set()
+    for f in fields(cls):
+        if is_dataclass(f.type):
+            paths |= _field_paths(f.type, f"{prefix}{f.name}.")
+        else:
+            paths.add(prefix + f.name)
+    return paths
+
+
+def _default_paths(raw: dict, prefix: str = "") -> set[str]:
+    paths = set()
+    for key, value in raw.items():
+        if isinstance(value, dict):
+            paths |= _default_paths(value, f"{prefix}{key}.")
+        else:
+            paths.add(prefix + key)
+    return paths
+
+
+def test_each_default_is_a_field_and_each_field_has_a_default():
+    # A key with no field would be accepted and ignored; a field with no
+    # default would fail every load with a KeyError.
+    text = resources.files("roadsense").joinpath("defaults.yaml").read_text("utf-8")
+    fields_, defaults = _field_paths(PipelineConfig), _default_paths(yaml.safe_load(text))
+    assert sorted(defaults - fields_) == []
+    assert sorted(fields_ - defaults) == []
+    assert len(fields_) == 17
+
+
+def test_list_entry_error_names_its_key(tmp_path):
+    with pytest.raises(ConfigError, match="config key roughness.cost_thresholds must be float"):
+        load_config(_write(tmp_path, "roughness:\n  cost_thresholds: [0.007, '0.008', 0.01]\n"))

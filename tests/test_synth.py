@@ -213,3 +213,14 @@ def test_load_scenario_rejects_malformed():
         load_scenario("name: x\n")  # duration missing
     with pytest.raises(ScenarioError):
         load_scenario("duration_s: 10\nbumps:\n  - [5.0]\n")
+    # Values are checked, not coerced: a fractional seed or width, a number
+    # given as a string, a bool seed and a two-axis gravity all fail.
+    for bad in (
+        "duration_s: 10\nrng_seed: 7.9\n",
+        "duration_s: 10\nbumps:\n  - [5.0, 1.5, 6.7]\n",
+        "duration_s: '12'\n",
+        "duration_s: 10\nrng_seed: true\n",
+        "duration_s: 10\ngravity_orientation: [0, 1]\n",
+    ):
+        with pytest.raises(ScenarioError):
+            load_scenario(bad)
