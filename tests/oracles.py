@@ -2,7 +2,8 @@
 
 Everything here is deliberately plain Python: explicit inner products
 instead of the pyramid recursion, hand-rolled peak scans, a 2x2 inverse by
-adjugate, a trip reader that parses each row in its own call. These routes
+adjugate, a trip reader that parses each row in its own call, a clustering
+that measures every event against every cluster. These routes
 share no code with the production implementations they verify, so
 agreement between the two is meaningful. ``numpy_dwt`` is the exception: it
 is the same pyramid on float64 arrays, which the package's list pyramid
@@ -11,6 +12,7 @@ must match to the bit.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -174,3 +176,60 @@ def oracle_read_trip(lines: list[str]) -> tuple[list, int, int, type | None]:
     if malformed > 0.01 * total:
         return rows, total, malformed, CorruptTripError
     return rows, total, malformed, None
+
+
+def _haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
+    # The great-circle distance on a 6371 km sphere, operation for operation,
+    # so exact ties and the radius boundary fall where the package's do.
+    phi1, phi2 = math.radians(lat1), math.radians(lat2)
+    dphi = phi2 - phi1
+    dlam = math.radians(lon2 - lon1)
+    a = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
+    return 2.0 * 6371000.0 * math.asin(min(1.0, math.sqrt(a)))
+
+
+@dataclass
+class OracleCluster:
+    """A scan cluster: members, a centroid re-summed per join, support by a set."""
+
+    kind: str
+    lat: float
+    lon: float
+    events: list = field(default_factory=list)
+
+    @property
+    def supporting_trips(self) -> int:
+        return len({ev.trip_id for ev in self.events})
+
+    @property
+    def mean_intensity(self) -> float:
+        return sum(ev.intensity for ev in self.events) / len(self.events)
+
+
+def oracle_cluster_events(reports, radius_m: float) -> list[OracleCluster]:
+    """Greedy same-kind clustering by measuring each event against every cluster.
+
+    Reports go by trip id and events in report order; unlocated events are
+    skipped. An event joins the nearest centroid within the radius, the first
+    made on a tie (``<``), else starts a cluster. A join recomputes the
+    centroid with ``sum()`` over all members.
+    """
+    clusters: list[OracleCluster] = []
+    for report in sorted(reports, key=lambda r: r.trip_id):
+        for ev in report.events:
+            if ev.lat is None:
+                continue
+            best = best_dist = None
+            for cl in clusters:
+                if cl.kind != ev.kind:
+                    continue
+                d = _haversine_m(cl.lat, cl.lon, ev.lat, ev.lon)
+                if d <= radius_m and (best_dist is None or d < best_dist):
+                    best, best_dist = cl, d
+            if best is None:
+                clusters.append(OracleCluster(ev.kind, ev.lat, ev.lon, [ev]))
+            else:
+                best.events.append(ev)
+                best.lat = sum(e.lat for e in best.events) / len(best.events)
+                best.lon = sum(e.lon for e in best.events) / len(best.events)
+    return clusters
